@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonconvergentMean
 from .laws import MetaorderLaw
 from .numerics import AliasTable
 
@@ -40,7 +40,6 @@ __all__ = [
     "TraderSpec",
     "Population",
     "MarketState",
-    "TraderSampler",
     "SimulationOutput",
     "init_state",
     "step",
@@ -127,21 +126,6 @@ class MarketState:
         )
 
 
-@dataclass(frozen=True)
-class TraderSampler:
-    """O(1) categorical draws of trader indices via an alias table."""
-
-    table: AliasTable
-    size: int
-
-    @classmethod
-    def from_population(cls, population: Population) -> "TraderSampler":
-        return cls(AliasTable.from_weights(population.intensities), population.size)
-
-    def draw(self, rng: np.random.Generator, size=None):
-        return self.table.draw(rng, size=size)
-
-
 @dataclass
 class SimulationOutput:
     """Everything a run produces besides file artifacts."""
@@ -192,7 +176,7 @@ def init_state(
 def step(
     state: MarketState,
     population: Population,
-    sampler: TraderSampler,
+    sampler: AliasTable,
     rng: np.random.Generator,
 ):
     """Advance one step in place; returns (trader, emitted sign, completed length or None)."""
@@ -224,7 +208,7 @@ class _TraderRuntime:
         self.progress = int(progress)
         try:
             self.mean = law.mean_length()
-        except Exception:
+        except NonconvergentMean:
             self.mean = None
         self.log: list[np.ndarray] = []
         self.collect = collect
@@ -361,9 +345,9 @@ def simulate(
         )
         for i, t in enumerate(population.traders)
     ]
-    sampler = TraderSampler.from_population(population)
-    prob = sampler.table.prob
-    alias = sampler.table.alias
+    sampler = AliasTable.from_weights(population.intensities)
+    prob = sampler.prob
+    alias = sampler.alias
 
     signs_out = np.empty(steps, dtype=np.int8) if keep_signs else None
     selection_counts = np.zeros(m, dtype=np.int64)

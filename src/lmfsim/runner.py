@@ -85,19 +85,26 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_acf_csv(path, curve: AcfCurve):
+def _write_csv(path, header, blocks):
+    """Write ``header``, then one row per index of each block's equal-length columns.
+
+    Columns go through ``tolist`` so that ints are written as ints and floats
+    by their shortest round-tripping ``repr``.
+    """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if curve.stderr is not None:
-            writer.writerow(["lag", "value", "stderr"])
-            for lag, val, se in zip(curve.lags, curve.values, curve.stderr):
-                writer.writerow([int(lag), repr(float(val)), repr(float(se))])
-        else:
-            writer.writerow(["lag", "value"])
-            for lag, val in zip(curve.lags, curve.values):
-                writer.writerow([int(lag), repr(float(val))])
+        writer.writerow(header)
+        for columns in blocks:
+            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
     return path
+
+
+def write_acf_csv(path, curve: AcfCurve):
+    if curve.stderr is None:
+        return _write_csv(path, ["lag", "value"], [(curve.lags, curve.values)])
+    return _write_csv(path, ["lag", "value", "stderr"],
+                      [(curve.lags, curve.values, curve.stderr)])
 
 
 def read_acf_csv(path) -> AcfCurve:
@@ -128,52 +135,27 @@ def read_acf_csv(path) -> AcfCurve:
 
 
 def write_theory_csv(path, curves: list[AcfCurve]):
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "value", "kind"])
-        for curve in curves:
-            for lag, val in zip(curve.lags, curve.values):
-                writer.writerow([int(lag), repr(float(val)), curve.kind])
-    return path
-
-
-def _write_hist_csv(path, dist: EmpiricalDistribution):
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "count"])
-        for length, count in zip(dist.support, dist.counts):
-            writer.writerow([int(length), int(count)])
-    return path
+    return _write_csv(path, ["lag", "value", "kind"],
+                      ((c.lags, c.values, [c.kind] * len(c)) for c in curves))
 
 
 def _write_lengths_csv(path, logs_per_replica):
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trader_id", "length"])
-        for logs in logs_per_replica:
-            for trader, lengths in enumerate(logs):
-                for length in lengths:
-                    writer.writerow([trader, int(length)])
-    return path
+    """One (trader_id, length) row per logged metaorder, replica by replica."""
+    return _write_csv(path, ["trader_id", "length"], (
+        (np.repeat(np.arange(len(logs)), [log.size for log in logs]),
+         np.concatenate(logs))
+        for logs in logs_per_replica
+    ))
 
 
-def _write_signs(path, signs: np.ndarray, meta: dict):
+def _write_signs(path, signs: np.ndarray, meta: dict) -> str:
+    """Write a raw int8 sign series and its sidecar; returns the series' sha256."""
     path = Path(path)
     signs.tofile(path)
-    sidecar = path.with_suffix(".json")
-    payload = dict(meta)
-    payload.update(
-        {
-            "dtype": "int8",
-            "length": int(signs.size),
-            "sha256": hashlib.sha256(signs.tobytes()).hexdigest(),
-        }
-    )
-    sidecar.write_text(json.dumps(payload, indent=2))
-    return path
+    digest = hashlib.sha256(signs.tobytes()).hexdigest()
+    payload = {**meta, "dtype": "int8", "length": int(signs.size), "sha256": digest}
+    path.with_suffix(".json").write_text(json.dumps(payload, indent=2))
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +230,26 @@ def run_replicated(config: ExperimentConfig, population: Population | None = Non
     }
 
 
-def run_simulate(config, out_dir, population: Population | None = None) -> dict:
-    """Execute a config and write the standard artifact set; returns the manifest."""
-    config = load_config(config)
-    out_dir = Path(out_dir)
+def _run_into(config: ExperimentConfig, out_dir: Path,
+              population: Population | None = None):
+    """Run every replica of a config and write its whole run directory.
+
+    This is the only writer of a run directory: the averaged ACF, the theory
+    curves, the pooled length histogram and raw metaorder log when logged,
+    the raw sign series when requested, a sidecar per artifact and
+    ``manifest.json``.  Each artifact is hashed once.  Returns the manifest,
+    the ``run_replicated`` reduction and the theory curves.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     population = population or config.build_population()
-
-    sign_artifacts = {}
+    digest = config.digest()
+    sign_series = {}  # name -> (path, sha256)
 
     def sign_writer(r, signs):
-        name = f"signs_r{r}"
-        sign_artifacts[name] = _write_signs(
-            out_dir / f"{name}.bin",
-            signs,
-            {"base_seed": config.seed, "replica": r,
-             "config_digest": config.digest()},
-        )
+        path = out_dir / f"signs_r{r}.bin"
+        meta = {"base_seed": config.seed, "replica": r, "config_digest": digest}
+        sign_series[path.stem] = (path, _write_signs(path, signs, meta))
 
     result = run_replicated(
         config, population, sign_writer=sign_writer if config.save_signs else None
@@ -276,14 +260,16 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     theory = theory_curves(population, config.max_lag, config.theory_grid)
     t_theory = time.perf_counter() - t0
 
-    artifacts = {"acf": write_acf_csv(out_dir / "acf.csv", curve)}
-    artifacts["theory"] = write_theory_csv(out_dir / "theory.csv", theory)
+    tables = {"acf": write_acf_csv(out_dir / "acf.csv", curve),
+              "theory": write_theory_csv(out_dir / "theory.csv", theory)}
     if result["lengths"] is not None:
-        artifacts["lengths_hist"] = _write_hist_csv(
-            out_dir / "lengths_hist.csv", result["lengths"]
+        dist = result["lengths"]
+        tables["lengths_hist"] = _write_csv(
+            out_dir / "lengths_hist.csv", ["length", "count"],
+            [(dist.support, dist.counts)],
         )
         if result["raw_logs"]:
-            artifacts["metaorders"] = _write_lengths_csv(
+            tables["metaorders"] = _write_lengths_csv(
                 out_dir / "metaorders.csv", result["raw_logs"]
             )
     seeds = {
@@ -292,22 +278,20 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
             {"replica": r, "spawn_key": [r]} for r in range(config.replicas)
         ],
     }
-    for path in artifacts.values():
+    artifacts = {}  # name -> (path, sha256)
+    for name, path in tables.items():
+        sha = _sha256(path)
         path.with_suffix(".json").write_text(json.dumps(
-            {
-                "config_digest": config.digest(),
-                "seeds": seeds,
-                "sha256": _sha256(path),
-            },
-            indent=2,
+            {"config_digest": digest, "seeds": seeds, "sha256": sha}, indent=2,
         ))
-    artifacts.update(sign_artifacts)
+        artifacts[name] = (path, sha)
+    artifacts.update(sign_series)
 
     manifest = {
         "version": _version(),
         "label": config.label,
         "config": config.to_dict(),
-        "config_digest": config.digest(),
+        "config_digest": digest,
         "population_digest": population.digest(),
         "trader_count": population.size,
         "seeds": seeds,
@@ -324,12 +308,17 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
             "total_s": round(time.perf_counter() - t_start, 3),
         },
         "artifacts": {
-            name: {"path": str(p.name), "sha256": _sha256(p), "bytes": p.stat().st_size}
-            for name, p in artifacts.items()
+            name: {"path": p.name, "sha256": sha, "bytes": p.stat().st_size}
+            for name, (p, sha) in artifacts.items()
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest
+    return manifest, result, theory
+
+
+def run_simulate(config, out_dir, population: Population | None = None) -> dict:
+    """Execute a config and write the standard artifact set; returns the manifest."""
+    return _run_into(load_config(config), Path(out_dir), population)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +620,10 @@ def _fit_window(max_lag: int, steps: int):
     return (100.0, float(min(10_000, max_lag, steps // 100)))
 
 
-def _acf_comparison(case_cfg, population, curve):
+def _acf_comparison(steps: int, exact: AcfCurve, curve: AcfCurve):
     """Exact-curve agreement in the region where theory dominates noise."""
-    lags = default_lags(case_cfg.max_lag)
-    exact = exact_acf_market(population, lags)
-    single_se = 1.0 / np.sqrt(case_cfg.steps - lags.astype(np.float64))
+    lags = exact.lags
+    single_se = 1.0 / np.sqrt(steps - lags.astype(np.float64))
     region = exact.values >= 10.0 * single_se
     sim_vals = curve.values[lags - 1]
     rel = np.abs(sim_vals[region] - exact.values[region]) / exact.values[region]
@@ -647,30 +635,16 @@ def _acf_comparison(case_cfg, population, curve):
     }
 
 
-def _case_dir(out_dir: Path, label: str) -> Path:
-    d = Path(out_dir) / label
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _run_case(out_dir: Path, cfg):
-    pop = cfg.build_population()
-    res = run_replicated(cfg, pop)
-    case_dir = _case_dir(out_dir, cfg.label)
-    write_acf_csv(case_dir / "acf.csv", res["curve"])
-    write_theory_csv(
-        case_dir / "theory.csv", theory_curves(pop, cfg.max_lag, cfg.theory_grid)
-    )
-    if res["lengths"] is not None:
-        _write_hist_csv(case_dir / "lengths_hist.csv", res["lengths"])
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_digest": cfg.digest(),
-        "population_digest": pop.digest(),
-        "timings_s": {k: round(v, 3) for k, v in res["timings"].items()},
-    }
-    (case_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return pop, res, {"dir": str(case_dir), "config_digest": cfg.digest()}
+    """Run one preset case into ``out_dir/<label>``.
+
+    Returns the population, the replica reduction, the exact market curve on
+    the case's theory grid and the case's entry for the report.
+    """
+    case_dir = out_dir / cfg.label
+    _, res, theory = _run_into(cfg, case_dir)
+    entry = {"dir": str(case_dir), "config_digest": cfg.digest()}
+    return res["population"], res, theory[0], entry
 
 
 def _experiment_fig3(out_dir: Path, base_seed=None) -> dict:
@@ -679,7 +653,7 @@ def _experiment_fig3(out_dir: Path, base_seed=None) -> dict:
     report = {"name": "fig3", "cases": []}
     for case in cases:
         cfg = case["config"]
-        pop, res, manifest = _run_case(out_dir, cfg)
+        pop, res, exact, manifest = _run_case(out_dir, cfg)
         closed = exponential_acf(float(pop.intensities[0]), case["decay_length"])
         report["cases"].append(
             {
@@ -687,7 +661,7 @@ def _experiment_fig3(out_dir: Path, base_seed=None) -> dict:
                 "decay_length": case["decay_length"],
                 "market_prefactor": closed.prefactor * pop.size,
                 "decay_time": closed.decay_time,
-                "comparison": _acf_comparison(cfg, pop, res["curve"]),
+                "comparison": _acf_comparison(cfg.steps, exact, res["curve"]),
                 "manifest": manifest,
             }
         )
@@ -696,7 +670,7 @@ def _experiment_fig3(out_dir: Path, base_seed=None) -> dict:
 
 def _fig4_entry(out_dir: Path, case) -> dict:
     cfg = case["config"]
-    pop, res, manifest = _run_case(out_dir, cfg)
+    pop, res, _, manifest = _run_case(out_dir, cfg)
     window = _fit_window(cfg.max_lag, cfg.steps)
     alpha = case["alpha"]
     fit = fit_acf_powerlaw(res["curve"], window)
@@ -739,7 +713,7 @@ def _experiment_fig5(out_dir: Path, base_seed=None) -> dict:
     for case in cases:
         cfg = case["config"]
         theta = case["theta"]
-        pop, res, manifest = _run_case(out_dir, cfg)
+        pop, res, _, manifest = _run_case(out_dir, cfg)
         window = case["acf_window"]
         acf_fit = fit_acf_powerlaw(res["curve"], window)
         dist = res["lengths"]
@@ -774,11 +748,10 @@ def _experiment_fig7(out_dir: Path, base_seed=None) -> dict:
     report = {"name": "fig7", "cases": []}
     for case in cases:
         cfg = case["config"]
-        pop, res, manifest = _run_case(out_dir, cfg)
+        _, res, exact, manifest = _run_case(out_dir, cfg)
         window = case["window"]
         fit = fit_acf_powerlaw(res["curve"], window)
-        lags = default_lags(cfg.max_lag)
-        exact_fit = fit_acf_powerlaw(exact_acf_market(pop, lags), window)
+        exact_fit = fit_acf_powerlaw(exact, window)
         entry = {
             "label": cfg.label,
             "beta": case["beta"],

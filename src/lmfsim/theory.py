@@ -143,6 +143,13 @@ def _market_sum(lam: float, law: MetaorderLaw, tau: int, r0_min: int) -> float:
     return finite + law.ccdf_tail(max(tau + 1, r0_min))
 
 
+def _acf_sum(lam: float, law: MetaorderLaw, lags, r0_min: int, scale: float) -> AcfCurve:
+    """``scale * _market_sum(lam, law, tau, r0_min)`` at every lag tau, as an exact curve."""
+    lags = np.asarray(lags, dtype=np.int64)
+    values = np.array([scale * _market_sum(lam, law, int(t), r0_min) for t in lags])
+    return AcfCurve(lags=lags, values=values, kind="exact")
+
+
 def exact_acf_trader(trader: TraderSpec, lags) -> AcfCurve:
     """Exact per-trader contribution to the market sign autocorrelation.
 
@@ -150,15 +157,12 @@ def exact_acf_trader(trader: TraderSpec, lags) -> AcfCurve:
     law tail mass); closed forms live in separate functions so the two routes
     stay independently checkable.
     """
-    lags = np.asarray(lags, dtype=np.int64)
     lam = trader.intensity
     if lam == 0.0:
+        lags = np.asarray(lags, dtype=np.int64)
         return AcfCurve(lags=lags, values=np.zeros(lags.shape), kind="exact")
     c_r = 1.0 / trader.law.mean_length()
-    values = np.array(
-        [c_r * lam * lam * _market_sum(lam, trader.law, int(t), 2) for t in lags]
-    )
-    return AcfCurve(lags=lags, values=values, kind="exact")
+    return _acf_sum(lam, trader.law, lags, 2, c_r * lam * lam)
 
 
 def exact_acf_market(population: Population, lags) -> AcfCurve:
@@ -194,12 +198,7 @@ def homogeneous_market_acf(lam: float, law: MetaorderLaw, lags) -> AcfCurve:
     With 1/lam identical traders the market curve is the per-trader
     contribution divided by lam:  (lam / mean_length) * sum_{R0>=2} ccdf * F.
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    c_r = 1.0 / law.mean_length()
-    values = np.array(
-        [lam * c_r * _market_sum(lam, law, int(t), 2) for t in lags]
-    )
-    return AcfCurve(lags=lags, values=values, kind="exact")
+    return _acf_sum(lam, law, lags, 2, lam * (1.0 / law.mean_length()))
 
 
 def heuristic_acf(lam: float, law: MetaorderLaw, lags) -> AcfCurve:
@@ -210,12 +209,7 @@ def heuristic_acf(lam: float, law: MetaorderLaw, lags) -> AcfCurve:
     remaining count is exactly 2, undercounting every lag by
     (lam/mean) * ccdf(2) * (1-lam)**(tau-1).
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    c_r = 1.0 / law.mean_length()
-    values = np.array(
-        [lam * c_r * _market_sum(lam, law, int(t), 3) for t in lags]
-    )
-    return AcfCurve(lags=lags, values=values, kind="exact")
+    return _acf_sum(lam, law, lags, 3, lam * (1.0 / law.mean_length()))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Runner artifacts, determinism, calibration, CLI exit codes."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from lmfsim import (
     Population,
     TraderSpec,
     calibrate_curve,
+    default_lags,
     prefactor_hetero,
     prefactor_homogeneous,
     read_acf_csv,
@@ -25,7 +27,12 @@ from lmfsim.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
 from lmfsim.engine import simulate
 from lmfsim.errors import ConfigError
 from lmfsim.laws import Exponential, Tabulated
-from lmfsim.runner import run_replicated
+from lmfsim.runner import (
+    _run_case,
+    _write_lengths_csv,
+    homogeneous_exponential_cases,
+    run_replicated,
+)
 from lmfsim.config import load_config
 from lmfsim.stats import acf_estimate
 from lmfsim.theory import AcfCurve
@@ -177,6 +184,58 @@ class TestRunSimulate:
                                lone.stderr / np.sqrt(k), rtol=1e-12)
         ratio = rms[2] / rms[8]
         assert 2.0 / 1.3 < ratio < 2.0 * 1.3
+
+
+def per_row_lengths_csv(path, logs_per_replica):
+    """Reference metaorders.csv writer: one csv.writerow call per metaorder."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trader_id", "length"])
+        for logs in logs_per_replica:
+            for trader, lengths in enumerate(logs):
+                for length in lengths:
+                    writer.writerow([trader, int(length)])
+
+
+class TestRunDirectory:
+    def test_lengths_csv_matches_per_row_writer(self, tmp_path):
+        pop = Population([TraderSpec(0.5, Exponential(decay_length=3.0)),
+                          TraderSpec(0.2, Tabulated(support=[1], probs=[1.0])),
+                          TraderSpec(0.3, DiscretePareto(tail_exponent=1.5))])
+        logs = [simulate(pop, 20_000, replica_seed(3, r)).metaorder_log
+                for r in range(2)]
+        # a trader with no logged metaorder contributes no rows
+        logs.append([logs[0][0], np.array([], dtype=np.int64), logs[1][2]])
+        per_row_lengths_csv(tmp_path / "reference.csv", logs)
+        _write_lengths_csv(tmp_path / "metaorders.csv", logs)
+        assert (tmp_path / "metaorders.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    def test_experiment_case_writes_a_full_run_directory(self, tmp_path):
+        preset = homogeneous_exponential_cases()[0]["config"].to_dict()
+        cfg = load_config({**preset, "steps": 20_000, "replicas": 2,
+                           "collect_lengths": "all"})
+        pop, res, exact, entry = _run_case(tmp_path, cfg)
+        case_dir = Path(entry["dir"])
+        assert case_dir == tmp_path / cfg.label
+        manifest = json.loads((case_dir / "manifest.json").read_text())
+        assert manifest.keys() == run_simulate(cfg, tmp_path / "cli").keys()
+        assert manifest["config_digest"] == entry["config_digest"]
+        assert set(manifest["artifacts"]) == {"acf", "theory", "lengths_hist",
+                                              "metaorders"}
+        for name, artifact in manifest["artifacts"].items():
+            path = case_dir / artifact["path"]
+            sha = hashlib.sha256(path.read_bytes()).hexdigest()
+            sidecar = json.loads(path.with_suffix(".json").read_text())
+            assert sidecar["sha256"] == artifact["sha256"] == sha
+            assert sidecar["config_digest"] == manifest["config_digest"]
+        # the curve the report compares against is the one in theory.csv
+        assert np.array_equal(exact.lags, default_lags(cfg.max_lag))
+        rows = (case_dir / "theory.csv").read_text().splitlines()[1:len(exact) + 1]
+        assert rows == [f"{lag},{val!r},exact"
+                        for lag, val in zip(exact.lags.tolist(), exact.values.tolist())]
+        assert manifest["summary"]["metaorders_logged"] == res["metaorders"]
+        assert manifest["population_digest"] == pop.digest()
 
 
 class TestCalibration:

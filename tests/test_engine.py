@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmfsim import (
+    AliasTable,
     ConfigError,
     Degenerate,
     DiscretePareto,
@@ -14,7 +15,6 @@ from lmfsim import (
     NonconvergentMean,
     Population,
     Tabulated,
-    TraderSampler,
     TraderSpec,
     acf_estimate,
     init_state,
@@ -57,27 +57,6 @@ class TestPopulation:
             TraderSpec(1.5, Degenerate())
         with pytest.raises(DomainError):
             TraderSpec(-0.1, Degenerate())
-
-
-class TestTraderSampler:
-    def test_single_trader(self):
-        rng = np.random.default_rng(0)
-        sampler = TraderSampler.from_population(Population([TraderSpec(1.0, Degenerate())]))
-        assert np.all(sampler.draw(rng, size=50) == 0)
-
-    def test_even_split(self):
-        rng = np.random.default_rng(1)
-        pop = Population([TraderSpec(0.5, Degenerate()), TraderSpec(0.5, Degenerate())])
-        draws = TraderSampler.from_population(pop).draw(rng, size=1_000_000)
-        se = math.sqrt(0.25 / draws.size)
-        assert abs(np.mean(draws == 0) - 0.5) < 4 * se
-
-    def test_skewed_split(self):
-        rng = np.random.default_rng(2)
-        pop = Population([TraderSpec(0.9, Degenerate()), TraderSpec(0.1, Degenerate())])
-        draws = TraderSampler.from_population(pop).draw(rng, size=1_000_000)
-        se = math.sqrt(0.9 * 0.1 / draws.size)
-        assert abs(np.mean(draws == 0) - 0.9) < 4 * se
 
 
 class TestInitState:
@@ -127,7 +106,7 @@ class TestStep:
     def test_emits_current_sign_then_updates(self):
         rng = np.random.default_rng(8)
         pop = Population([TraderSpec(1.0, tab({2: 1.0}))])
-        sampler = TraderSampler.from_population(pop)
+        sampler = AliasTable.from_weights(pop.intensities)
         state = MarketState(
             market_sign=1,
             signs=np.array([-1], dtype=np.int8),
@@ -154,7 +133,7 @@ class TestStep:
         rng = np.random.default_rng(11)
         pop = Population([TraderSpec(0.5, tab({2: 1.0})),
                           TraderSpec(0.5, tab({3: 1.0}))])
-        sampler = TraderSampler.from_population(pop)
+        sampler = AliasTable.from_weights(pop.intensities)
         state = init_state(pop, rng)
         for _ in range(200):
             before_r = state.remaining.copy()
@@ -245,6 +224,16 @@ class TestSimulate:
                           TraderSpec(0.05, tab({2: 1.0}))])
         out = simulate(pop, 2_000, seed=20, init_mode="fresh_draw")
         assert out.burn_in == math.ceil(10 / 0.05)
+
+    def test_fresh_draw_infinite_mean_law(self):
+        # tail exponent 0.8 has no mean length; fresh draws still simulate it
+        pop = Population([TraderSpec(0.5, DiscretePareto(tail_exponent=0.8)),
+                          TraderSpec(0.5, Exponential(decay_length=3.0))])
+        out = simulate(pop, 20_000, seed=23, init_mode="fresh_draw")
+        assert out.signs.size == 20_000
+        for i in range(pop.size):
+            logged = int(out.metaorder_log[i].sum())
+            assert logged + int(out.final_progress[i]) == int(out.selection_counts[i])
 
     def test_tiny_chunks_preserve_the_process_law(self):
         # a prime chunk size forces metaorders to straddle many chunk

@@ -104,6 +104,12 @@ class TestAliasTable:
         table = AliasTable.from_weights([3.0])
         assert np.all(table.draw(rng, size=100) == 0)
 
+    def test_even_split(self):
+        rng = np.random.default_rng(1)
+        draws = AliasTable.from_weights([0.5, 0.5]).draw(rng, size=1_000_000)
+        se = math.sqrt(0.25 / draws.size)
+        assert abs(np.mean(draws == 0) - 0.5) < 4 * se
+
     def test_frequencies_match_weights(self):
         rng = np.random.default_rng(1)
         weights = np.array([0.9, 0.1])
