@@ -212,7 +212,8 @@ class DiscretePareto(MetaorderLaw):
         return self._mean
 
     def ccdf_tail(self, start: int) -> float:
-        return powerlaw_tail_sum(self.tail_exponent, start)
+        # the exact ACF takes one tail per curve, so it can afford full precision
+        return powerlaw_tail_sum(self.tail_exponent, start, rel_tol=1e-15)
 
     def sample_length(self, rng, size=None):
         u = rng.random(size=size)

@@ -6,10 +6,28 @@ contributions.  A trader with intensity lam and length law rho contributes
     C_tau = c_R * lam**2 * [ sum_{R0=2}^{tau} ccdf(R0) * F(tau, R0)
                              + sum_{R0=tau+1}^{inf} ccdf(R0) ],
 
-where c_R = 1/mean_length and F(tau, R0) is the probability that the trader
-was selected at most R0 - 1 times in a window of tau steps that starts with
-a selection (a shifted binomial CDF).  Everything here evaluates that sum and
-its closed-form and asymptotic reductions with explicit error control.
+where c_R = 1/mean_length and F(tau, R0) = P(N <= R0 - 2) is the probability
+that the trader was selected at most R0 - 1 times in a window of tau steps
+that starts with a selection, N ~ Binomial(tau - 1, lam).  Exchanging the two
+sums turns the bracket into one binomial expectation,
+
+    C_tau = c_R * lam**2 * E[T(max(N + 2, r0_min))],   T(s) = sum_{r>=s} ccdf(r),
+
+with r0_min = 2 (3 for the classic heuristic).  T comes from one table per
+curve: a reversed cumsum of the CCDF plus a single tail mass.  Each lag's
+expectation is summed over the Bernstein window |n - (tau-1) lam| <= h,
+
+    h = K/3 + sqrt(K**2/9 + 2 K (tau-1) lam (1-lam)),   K = 40,
+
+outside which the binomial mass is at most 2 exp(-K) < 1e-17; as T <=
+mean_length, the discarded part of C_tau is at most 2 exp(-K) lam**2.  The
+window sum is divided by the window's pmf mass, which cancels the rounding
+error that a lag's log-gamma masses share.  A window holds O(sqrt(tau))
+terms; the windows of many lags are flattened into ragged blocks of about
+_BLOCK terms and reduced with reduceat, so a dense grid to max_lag costs
+O(max_lag**1.5) time and bounded memory.  Everything here evaluates that
+expectation and its closed-form and asymptotic reductions with explicit
+error control.
 """
 
 from __future__ import annotations
@@ -19,6 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .engine import Population, TraderSpec
 from .errors import DegenerateExponent, DomainError, LmfsimError
@@ -53,6 +72,10 @@ __all__ = [
 ]
 
 CURVE_KINDS = ("simulated", "exact", "asymptotic", "oracle")
+
+# K of the Bernstein window, and the window entries or trader x lag terms per block.
+_WINDOW_K = 40.0
+_BLOCK = 1 << 14
 
 
 class ValidityWarning(UserWarning):
@@ -132,30 +155,49 @@ def survival_cdf(lam: float, tau: int, r0: int) -> float:
     return float(binom_cdf_prefix(tau - 1, lam, r0 - 2)[-1])
 
 
-def _market_sum(lam: float, law: MetaorderLaw, tau: int, r0_min: int) -> float:
-    """sum_{R0 >= r0_min} ccdf(R0) * survival, split into finite and tail parts."""
-    if tau >= r0_min:
-        r0 = np.arange(r0_min, tau + 1, dtype=np.int64)
-        cdf_prefix = binom_cdf_prefix(tau - 1, lam, tau - 2)
-        finite = float(np.dot(law.ccdf(r0), cdf_prefix[r0 - 2]))
-    else:
-        finite = 0.0
-    return finite + law.ccdf_tail(max(tau + 1, r0_min))
+def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.ndarray:
+    """``E[table[N]]``, N ~ Binomial(t, lam), for every t in ``trials`` (see above)."""
+    if lam == 0.0 or lam == 1.0:  # point mass at n = 0 or n = t
+        return table[trials * int(lam == 1.0)]
+    log_fact = gammaln(np.arange(1.0, trials.max(initial=0) + 2.0))  # log n!
+    # log pmf(n; t) = log_head[n] + const[t] - log (t - n)!
+    log_head = np.arange(log_fact.size) * (math.log(lam) - math.log1p(-lam)) - log_fact
+    const = log_fact[trials] + trials * math.log1p(-lam)
+    k = _WINDOW_K
+    half = k / 3.0 + np.sqrt(k * k / 9.0 + 2.0 * k * trials * lam * (1.0 - lam))
+    lo = np.maximum(np.ceil(trials * lam - half), 0).astype(np.int64)
+    width = np.minimum(np.floor(trials * lam + half).astype(np.int64), trials) - lo + 1
+    out = np.empty(trials.shape)
+    step = max(1, _BLOCK // int(width.max(initial=1)))  # lags per block
+    for i in range(0, trials.size, step):
+        blk = slice(i, i + step)
+        w = width[blk]
+        first = np.cumsum(w) - w
+        n = np.repeat(lo[blk] - first, w) + np.arange(first[-1] + w[-1])
+        pmf = np.exp(log_head[n] + np.repeat(const[blk], w)
+                     - log_fact[np.repeat(trials[blk], w) - n])
+        out[blk] = np.add.reduceat(pmf * table[n], first) / np.add.reduceat(pmf, first)
+    return out
 
 
 def _acf_sum(lam: float, law: MetaorderLaw, lags, r0_min: int, scale: float) -> AcfCurve:
-    """``scale * _market_sum(lam, law, tau, r0_min)`` at every lag tau, as an exact curve."""
+    """``scale * E[T(max(N + 2, r0_min))]``, N ~ Binomial(tau - 1, lam), at every lag tau."""
     lags = np.asarray(lags, dtype=np.int64)
-    values = np.array([scale * _market_sum(lam, law, int(t), r0_min) for t in lags])
-    return AcfCurve(lags=lags, values=values, kind="exact")
+    trials = np.maximum(lags - 1, 0)
+    s_max = max(int(trials.max(initial=0)) + 2, r0_min)
+    # tail[s - 2] = T(s): one reversed CCDF cumsum plus one tail mass
+    tail = np.cumsum(law.ccdf(np.arange(s_max, 1, -1)))[::-1] + law.ccdf_tail(s_max + 1)
+    table = tail[np.maximum(np.arange(s_max - 1) + 2, r0_min) - 2]  # T(max(n + 2, r0_min))
+    return AcfCurve(lags=lags, values=scale * _binomial_means(table, lam, trials),
+                    kind="exact")
 
 
 def exact_acf_trader(trader: TraderSpec, lags) -> AcfCurve:
     """Exact per-trader contribution to the market sign autocorrelation.
 
-    Always evaluates the defining double sum (finite binomial-CDF sweep plus
-    law tail mass); closed forms live in separate functions so the two routes
-    stay independently checkable.
+    Always evaluates the binomial expectation of the module docstring, even
+    for laws with a closed form; closed forms live in separate functions so
+    the two routes stay independently checkable.
     """
     lam = trader.intensity
     if lam == 0.0:
@@ -173,22 +215,14 @@ def exact_acf_market(population: Population, lags) -> AcfCurve:
     generic sum elsewhere); everything else goes through the generic sum.
     """
     lags = np.asarray(lags, dtype=np.int64)
-    total = np.zeros(lags.shape, dtype=np.float64)
+    total = _exponential_sum(population, lags)
     groups: dict[str, list] = {}
-    for i, t in enumerate(population.traders):
-        key = f"{population.intensities[i]!r}|{t.law.as_config()!r}"
-        if key in groups:
-            groups[key][0] += 1
-        else:
-            groups[key] = [1, float(population.intensities[i]), t.law]
+    for lam, t in zip(population.intensities, population.traders):
+        if not isinstance(t.law, (Degenerate, Exponential)):
+            key = f"{lam!r}|{t.law.as_config()!r}"
+            groups.setdefault(key, [0, float(lam), t.law])[0] += 1
     for count, lam, law in groups.values():
-        if isinstance(law, Degenerate):
-            continue
-        if isinstance(law, Exponential):
-            contrib = exponential_acf(lam, law.decay_length).values_at(lags)
-        else:
-            contrib = exact_acf_trader(TraderSpec(lam, law), lags).values
-        total += count * contrib
+        total += count * exact_acf_trader(TraderSpec(lam, law), lags).values
     return AcfCurve(lags=lags, values=total, kind="exact")
 
 
@@ -226,6 +260,13 @@ class ExponentialAcf:
         return self.prefactor * np.exp(-lags / self.decay_time)
 
 
+def _exponential_params(lam, decay_length):
+    """``(prefactor, decay_time)`` of the exponential closed form; vectorised."""
+    step = -np.expm1(-1.0 / decay_length)  # 1 - exp(-1/L)
+    q = 1.0 - lam * step
+    return lam * lam * np.exp(-1.0 / decay_length) / q, -1.0 / np.log(q)
+
+
 def exponential_acf(lam: float, decay_length: float) -> ExponentialAcf:
     """Closed-form ACF parameters for one exponential splitter.
 
@@ -235,16 +276,29 @@ def exponential_acf(lam: float, decay_length: float) -> ExponentialAcf:
     _check_intensity(lam)
     if decay_length <= 0.0:
         raise DomainError(f"decay_length must be positive, got {decay_length}")
-    step = -math.expm1(-1.0 / decay_length)  # 1 - exp(-1/L)
-    q = 1.0 - lam * step
-    decay_time = -1.0 / math.log(q)
-    prefactor = lam * lam * math.exp(-1.0 / decay_length) / q
-    return ExponentialAcf(
-        intensity=lam,
-        decay_length=decay_length,
-        prefactor=prefactor,
-        decay_time=decay_time,
-    )
+    prefactor, decay_time = _exponential_params(lam, decay_length)
+    return ExponentialAcf(intensity=lam, decay_length=decay_length,
+                          prefactor=float(prefactor), decay_time=float(decay_time))
+
+
+def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
+    """Closed forms of the population's exponential traders summed at ``lags``;
+    identical traders are grouped, at most ``_BLOCK`` group x lag terms at a time."""
+    traders = [(lam, t.law.decay_length) for lam, t in
+               zip(population.intensities, population.traders)
+               if isinstance(t.law, Exponential)]
+    pairs, count = np.unique(np.reshape(traders, (-1, 2)), axis=0, return_counts=True)
+    _check_intensity(float(pairs[:, 0].min(initial=1.0)))
+    prefactor, decay_time = _exponential_params(pairs[:, :1], pairs[:, 1:])
+    lags = lags.astype(np.float64)
+    total = np.zeros(lags.shape)
+    rows = max(1, _BLOCK // max(lags.size, 1))
+    for i in range(0, count.size, rows):  # total first: groups add in order, as in a loop
+        block = prefactor[i:i + rows] * np.exp(-lags / decay_time[i:i + rows])
+        block *= count[i:i + rows, None]
+        block[0] += total
+        total = block.sum(axis=0)
+    return total
 
 
 def exponential_acf_closed_form(lam: float, decay_length: float, lags) -> AcfCurve:
@@ -287,20 +341,14 @@ def hetero_acf_asymptote(population: Population, lags) -> AcfCurve:
     """Superposition asymptote: closed forms for exponential traders plus
     power-law asymptotes for Pareto traders; unit-length traders contribute 0."""
     lags = np.asarray(lags, dtype=np.int64)
-    total = np.zeros(lags.shape, dtype=np.float64)
+    total = _exponential_sum(population, lags)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         for lam, trader in zip(population.intensities, population.traders):
             law = trader.law
-            if isinstance(law, Degenerate):
-                continue
-            if isinstance(law, Exponential):
-                total += exponential_acf(float(lam), law.decay_length).values_at(lags)
-            elif isinstance(law, DiscretePareto):
-                total += powerlaw_acf_asymptote(
-                    float(lam), law.tail_exponent, lags
-                ).values
-            else:
+            if isinstance(law, DiscretePareto):
+                total += powerlaw_acf_asymptote(float(lam), law.tail_exponent, lags).values
+            elif not isinstance(law, (Degenerate, Exponential)):
                 raise DomainError(
                     f"no asymptote for law kind {law.kind!r}; use exact_acf_market"
                 )

@@ -1,7 +1,9 @@
 """Exact ACF formulas, closed forms, asymptotes, prefactor inequalities."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -38,6 +40,8 @@ from lmfsim import (
     superposition_upper,
     survival_cdf,
 )
+from lmfsim.laws import allocate_decay_lengths
+from lmfsim.numerics import binom_cdf_prefix
 from lmfsim.theory import ValidityWarning
 from lmfsim.errors import DegenerateExponent, DomainError, NonconvergentMean
 
@@ -55,6 +59,18 @@ MIN_COUNT_EXAMPLE = 2275.5555555555557  # (0.8^{1.5}/0.015)^2
 def tab(d):
     items = sorted(d.items())
     return Tabulated(support=[k for k, _ in items], probs=[v for _, v in items])
+
+
+def _reference_market_sum(lam, law, tau, r0_min):
+    """sum_{R0 >= r0_min} ccdf(R0) * survival, one lag at a time: a finite
+    binomial-CDF sweep plus the law's tail mass (the original per-lag sum)."""
+    if tau >= r0_min:
+        r0 = np.arange(r0_min, tau + 1, dtype=np.int64)
+        cdf_prefix = binom_cdf_prefix(tau - 1, lam, tau - 2)
+        finite = float(np.dot(law.ccdf(r0), cdf_prefix[r0 - 2]))
+    else:
+        finite = 0.0
+    return finite + law.ccdf_tail(max(tau + 1, r0_min))
 
 
 class TestBinomialPmf:
@@ -173,6 +189,123 @@ class TestExactAcf:
     def test_infinite_mean_raises(self):
         with pytest.raises(NonconvergentMean):
             exact_acf_trader(TraderSpec(0.5, DiscretePareto(tail_exponent=1.0)), [1])
+
+
+class TestBinomialExpectation:
+    """The windowed binomial expectation behind every exact curve."""
+
+    LAWS = (
+        Exponential(decay_length=3.0),
+        tab({1: 0.3, 4: 0.3, 9: 0.4}),
+        DiscretePareto(tail_exponent=1.2),
+        DiscretePareto(tail_exponent=1.5),
+        DiscretePareto(tail_exponent=1.7),
+    )
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+    def test_matches_per_lag_reference(self, law):
+        lags = np.arange(1, 301)
+        for lam in (1e-6, 0.01, 0.5, 0.99, 1.0):
+            scale = lam * (1.0 / law.mean_length())
+            for r0_min, curve in ((2, homogeneous_market_acf), (3, heuristic_acf)):
+                ref = np.array([scale * _reference_market_sum(lam, law, int(t), r0_min)
+                                for t in lags])
+                got = curve(lam, law, lags).values
+                assert np.max(np.abs(got - ref)) < 1e-13, (lam, r0_min)
+            trader = exact_acf_trader(TraderSpec(lam, law), lags).values
+            ref = np.array([(1.0 / law.mean_length()) * lam * lam
+                            * _reference_market_sum(lam, law, int(t), 2) for t in lags])
+            assert np.max(np.abs(trader - ref)) < 1e-13, lam
+
+    def test_endpoints(self):
+        law = DiscretePareto(tail_exponent=1.5)
+        scale = 1.0 / law.mean_length()
+        lags = np.array([1, 2, 10, 1000])
+        # lam = 1: N = tau - 1 surely, so C_tau = c_R * T(tau + 1)
+        point = exact_acf_trader(TraderSpec(1.0, law), lags).values
+        tails = np.array([scale * law.ccdf_tail(int(t) + 1) for t in lags])
+        assert np.all(np.isfinite(point))
+        assert np.allclose(point, tails, rtol=1e-13, atol=0.0)
+        # tau = 1 is T(2) whatever lam, even when the window is clipped to [0, 0]
+        for lam in (1e-6, 0.3, 1.0):
+            first = exact_acf_trader(TraderSpec(lam, law), [1]).values[0]
+            assert first == pytest.approx(scale * lam * lam * law.ccdf_tail(2),
+                                           rel=1e-13, abs=0.0)
+        # lam = 0 is zero, even for an infinite-mean law
+        zero = TraderSpec(0.0, DiscretePareto(tail_exponent=0.8))
+        assert np.all(exact_acf_trader(zero, lags).values == 0.0)
+        # a finite support leaves T = 0 beyond it
+        short = tab({2: 0.5, 4: 0.5})
+        assert np.all(homogeneous_market_acf(1.0, short, [4, 5, 100]).values == 0.0)
+        assert homogeneous_market_acf(1.0, short, [3]).values[0] > 0.0
+
+    def test_accuracy_against_mpmath(self):
+        # C_tau / (c_R lam^2) = sum_n binom(tau - 1, n) lam^n (1 - lam)^(tau-1-n)
+        # * zeta(alpha, n + 2), summed at 30 digits
+        lam, alpha = 0.085, 1.5
+        law = DiscretePareto(tail_exponent=alpha)
+        lags = np.array([1, 10, 1000, 9580])
+        got = exact_acf_trader(TraderSpec(lam, law), lags).values
+        scale = (1.0 / law.mean_length()) * lam * lam
+        with mpmath.workdps(30):
+            p, a = mpmath.mpf(lam), mpmath.mpf(alpha)
+            for tau, value in zip(lags, got):
+                t = int(tau) - 1
+                zeta, total = mpmath.zeta(a, t + 3), mpmath.mpf(0)
+                for n in range(t, -1, -1):
+                    zeta += mpmath.mpf(n + 2) ** -a  # now zeta(a, n + 2)
+                    total += mpmath.binomial(t, n) * p**n * (1 - p) ** (t - n) * zeta
+                expected = scale * float(total)
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0), tau
+
+    def test_dense_and_geometric_grids_agree(self):
+        trader = TraderSpec(0.085, DiscretePareto(tail_exponent=1.5))
+        dense = exact_acf_trader(trader, np.arange(1, 10_001)).values
+        geometric = exact_acf_trader(trader, default_lags(10_000))
+        shared = dense[geometric.lags - 1]
+        assert np.allclose(geometric.values, shared, rtol=1e-14, atol=0.0)
+
+    def test_dense_grid_memory_is_blocked(self):
+        trader = TraderSpec(0.5, DiscretePareto(tail_exponent=1.5))
+        lags = np.arange(1, 10_001)
+        tracemalloc.start()
+        try:
+            exact_acf_trader(trader, lags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestExponentialSum:
+    """Exponential traders are summed as arrays instead of one call per trader."""
+
+    def test_matches_per_trader_loop(self):
+        # distinct decay lengths, as in a large splitter census
+        decay = allocate_decay_lengths(3000, 1.5)
+        pop = Population([TraderSpec(1.0 / decay.size, Exponential(float(d)))
+                          for d in decay])
+        lags = np.arange(1, 2001)
+        loop = np.zeros(lags.shape)
+        for lam, t in zip(pop.intensities, pop.traders):
+            loop += exponential_acf(float(lam), t.law.decay_length).values_at(lags)
+        for curve in (exact_acf_market, hetero_acf_asymptote):
+            got = curve(pop, lags).values
+            assert np.allclose(got, loop, rtol=1e-14, atol=0.0), curve.__name__
+
+    def test_grouped_and_shuffled_traders(self):
+        rng = np.random.default_rng(7)
+        lam = rng.choice([1e-3, 2e-3, 5e-4], size=2000)
+        decay = rng.choice([2.0, 7.5, 40.0, 300.0], size=2000)
+        pop = Population([TraderSpec(float(a), Exponential(float(d)))
+                          for a, d in zip(lam, decay)])
+        lags = default_lags(5000)
+        terms = np.array([exponential_acf(float(a), t.law.decay_length).values_at(lags)
+                          for a, t in zip(pop.intensities, pop.traders)])
+        exact = np.array([math.fsum(col) for col in terms.T])
+        for curve in (exact_acf_market, hetero_acf_asymptote):
+            got = curve(pop, lags).values
+            assert np.allclose(got, exact, rtol=1e-14, atol=0.0), curve.__name__
 
 
 class TestExponentialClosedForm:
