@@ -37,12 +37,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtr, gammaln
 
 from .engine import Population, TraderSpec
 from .errors import DegenerateExponent, DomainError, LmfsimError
 from .laws import Degenerate, DiscretePareto, Exponential, MetaorderLaw
-from .numerics import binom_cdf_prefix, geometric_lags, log_binom_pmf
+from .numerics import geometric_lags, log_binom_pmf
 
 __all__ = [
     "AcfCurve",
@@ -143,7 +143,9 @@ def survival_cdf(lam: float, tau: int, r0: int) -> float:
     """P(selection count over tau steps <= r0 - 1): metaorder survival probability.
 
     Equals 1 exactly when tau <= r0 - 1 (too few steps to exhaust the
-    remaining r0 executions) and the shifted binomial CDF otherwise.
+    remaining r0 executions) and the shifted binomial CDF otherwise, taken
+    from the regularised incomplete beta function, which keeps values near 1
+    within an ulp and so monotone in tau and r0.
     """
     _check_intensity(lam)
     if tau < 1:
@@ -152,7 +154,7 @@ def survival_cdf(lam: float, tau: int, r0: int) -> float:
         raise DomainError(f"remaining count must be >= 2, got {r0}")
     if tau <= r0 - 1:
         return 1.0
-    return float(binom_cdf_prefix(tau - 1, lam, r0 - 2)[-1])
+    return float(bdtr(r0 - 2, tau - 1, lam))
 
 
 def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.ndarray:
@@ -283,10 +285,11 @@ def exponential_acf(lam: float, decay_length: float) -> ExponentialAcf:
 
 def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
     """Closed forms of the population's exponential traders summed at ``lags``;
-    identical traders are grouped, at most ``_BLOCK`` group x lag terms at a time."""
+    identical traders are grouped, at most ``_BLOCK`` group x lag terms at a time.
+    Zero-intensity traders never trade and contribute exactly 0."""
     traders = [(lam, t.law.decay_length) for lam, t in
                zip(population.intensities, population.traders)
-               if isinstance(t.law, Exponential)]
+               if isinstance(t.law, Exponential) and lam > 0.0]
     pairs, count = np.unique(np.reshape(traders, (-1, 2)), axis=0, return_counts=True)
     _check_intensity(float(pairs[:, 0].min(initial=1.0)))
     prefactor, decay_time = _exponential_params(pairs[:, :1], pairs[:, 1:])
@@ -347,7 +350,9 @@ def hetero_acf_asymptote(population: Population, lags) -> AcfCurve:
         for lam, trader in zip(population.intensities, population.traders):
             law = trader.law
             if isinstance(law, DiscretePareto):
-                total += powerlaw_acf_asymptote(float(lam), law.tail_exponent, lags).values
+                if lam > 0.0:  # a zero-intensity trader contributes exactly 0
+                    total += powerlaw_acf_asymptote(float(lam), law.tail_exponent,
+                                                    lags).values
             elif not isinstance(law, (Degenerate, Exponential)):
                 raise DomainError(
                     f"no asymptote for law kind {law.kind!r}; use exact_acf_market"

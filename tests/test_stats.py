@@ -1,5 +1,7 @@
 """ACF estimators, empirical distributions, power-law fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from lmfsim import (
     log_bin_density,
     simulate,
 )
+from lmfsim import stats
 from lmfsim.stats import acf_direct
 from lmfsim.errors import (
     DomainError,
@@ -88,6 +91,62 @@ class TestAcfEstimate:
         silent = simulate(pop, 5000, seed=5, keep_signs=False)
         with pytest.raises(DomainError):
             acf_estimate(silent, max_lag=10)
+
+
+def simulated_signs(steps, seed):
+    pop = Population([TraderSpec(0.1, Exponential(decay_length=5.0))
+                      for _ in range(10)])
+    return simulate(pop, steps, seed=seed).signs
+
+
+class TestBlockedAcf:
+    """The overlap-save lag sums are exact integers: values equal acf_direct."""
+
+    @pytest.mark.parametrize("steps, max_lag", [
+        (11, 1), (6001, 600), (100_001, 10_000),
+        (123_457, 50),  # not a multiple of the 16334-sample block
+    ])
+    def test_equals_direct_sum(self, steps, max_lag):
+        signs = simulated_signs(steps, seed=steps)
+        curve = acf_estimate(signs, max_lag, include_zero=True)
+        assert np.array_equal(curve.values, acf_direct(signs, curve.lags))
+
+    def test_series_ends_around_a_block_boundary(self):
+        # max_lag 600 gives n_fft 16384 and blocks of 15784 samples
+        signs = simulated_signs(200_000, seed=8)
+        block = 15_784
+        for t in (12 * block - 1, 12 * block, 12 * block + 1, 12 * block + 600):
+            curve = acf_estimate(signs[:t], 600)
+            assert np.array_equal(curve.values, acf_direct(signs[:t], curve.lags))
+
+    def test_independent_of_block_sizes(self, monkeypatch):
+        signs = simulated_signs(50_000, seed=9)
+        default = acf_estimate(signs, 30).values
+        # n_fft 500, one 470-sample block per group: about a hundred groups
+        monkeypatch.setattr(stats, "_MIN_FFT", 1)
+        monkeypatch.setattr(stats, "_GROUP_SAMPLES", 1)
+        tiny = acf_estimate(signs, 30).values
+        assert np.array_equal(tiny, default)
+        assert np.array_equal(tiny, acf_direct(signs, np.arange(1, 31)))
+
+    def test_memory_is_blocked(self):
+        signs = np.random.default_rng(3).choice(
+            np.array([-1, 1], dtype=np.int8), size=10_000_000)
+        tracemalloc.start()
+        try:
+            acf_estimate(signs, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6  # one full-length float64 FFT takes about 240 MB
+
+    def test_rejects_non_sign_input(self):
+        rng = np.random.default_rng(4)
+        # floats, and out-of-range integers whose ACF still lies in [-1, 1]
+        for bad in (np.ones(500), rng.integers(-3, 4, size=5000),
+                    rng.integers(-1, 3, size=5000, dtype=np.int8)):
+            with pytest.raises(DomainError):
+                acf_estimate(bad, max_lag=5)
 
 
 class TestAverageCurves:

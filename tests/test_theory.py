@@ -130,6 +130,11 @@ class TestSurvivalCdf:
         assert survival_cdf(lam, tau, r0 + 1) >= here - 1e-15
         assert 0.0 <= here <= 1.0
 
+    def test_monotone_next_to_one(self):
+        # a cumulative pmf sum gives 0.9999999999999972 at tau 19 and
+        # 0.9999999999999997 at tau 20, rising with the lag
+        assert survival_cdf(0.0625, 20, 17) <= survival_cdf(0.0625, 19, 17)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             survival_cdf(0.5, 2, 1)
@@ -306,6 +311,21 @@ class TestExponentialSum:
         for curve in (exact_acf_market, hetero_acf_asymptote):
             got = curve(pop, lags).values
             assert np.allclose(got, exact, rtol=1e-14, atol=0.0), curve.__name__
+
+    def test_zero_intensity_traders_contribute_nothing(self):
+        lags = default_lags(2000)
+        cases = [
+            ([TraderSpec(0.0, Exponential(2.0)), TraderSpec(1.0, Exponential(2.0))],
+             [TraderSpec(1.0, Exponential(2.0))]),
+            ([TraderSpec(0.0, DiscretePareto(1.5)), TraderSpec(0.5, Exponential(2.0)),
+              TraderSpec(0.5, DiscretePareto(1.5))],
+             [TraderSpec(0.5, Exponential(2.0)), TraderSpec(0.5, DiscretePareto(1.5))]),
+        ]
+        for with_zero, without in cases:
+            for curve in (exact_acf_market, hetero_acf_asymptote):
+                got = curve(Population(with_zero), lags).values
+                want = curve(Population(without), lags).values
+                assert np.array_equal(got, want), curve.__name__
 
 
 class TestExponentialClosedForm:
