@@ -6,12 +6,34 @@ current metaorder, and then either decrements its remaining count or, on
 completion, logs the metaorder, redraws a fresh length from its law and a
 fresh symmetric sign.
 
-``simulate`` is the production path.  It never iterates step by step;
-instead it draws a chunk of trader selections, groups them per trader
-(stable sort), and lays each trader's signs down as repeated runs.  This is
-exactly the serial dynamics because a trader's state only changes at its own
-selections.  ``step`` exposes the single-transition version for reference
-and unit tests.
+``simulate`` is the production path.  It iterates neither step by step nor
+trader by trader.  Each chunk of steps draws its trader selections, counts
+them per trader and lays every active trader's signs down as runs: the rest
+of its current metaorder, then as many fresh metaorders as its count needs,
+all traders in one batch.  ``np.repeat`` of the run table gives the chunk's
+signs grouped by trader, and one scatter through the stable sort of the
+selections puts them back in market order.  This is exactly the serial
+dynamics because a trader's state only changes at its own selections.
+``step`` exposes the single-transition version for reference and unit tests.
+
+Random streams.  The seed (an int, a ``SeedSequence``, or a ``Generator``
+from which four 64-bit words are drawn) gives a ``SeedSequence`` with three
+children, derived by spawn key:
+
+- child 0, PCG64: trader selection, one double u per step.  The alias-table
+  column is floor(u M) and the fractional part u M - floor(u M) is the alias
+  coin;
+- child 1, PCG64: the initial state (``init_state``);
+- child 2, one 64-bit key.  Trader i's q-th metaorder (q = 1, 2, ...; the
+  initial state is inside metaorder 0) takes its length and sign from the
+  splitmix64 output z = mix(b_i + q G), with b_i = mix(key + (i + 1) G) and G
+  the golden-ratio increment (a counter-based draw in the sense of Salmon et
+  al., SC'11).  The top 53 bits of z are the uniform the law's inverse CDF
+  turns into the length, the lowest bit is the sign.
+
+No draw therefore depends on ``chunk_size``, on how the fresh metaorders are
+batched or on how many were drawn ahead: the same seed gives the same bytes
+for every chunking.
 
 Bookkeeping convention: the first completion of a trader logs only the
 executions that happened inside the simulated window (the initial remaining
@@ -28,6 +50,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,14 +121,64 @@ class Population:
     def describe(self) -> dict:
         return {
             "traders": [
-                {"intensity": float(lam), "law": t.law.as_config()}
-                for lam, t in zip(self.intensities, self.traders)
+                {"intensity": lam, "law": t.law.as_config()}
+                for lam, t in zip(self.intensities.tolist(), self.traders)
             ]
         }
 
+    @cached_property
+    def canonical_json(self) -> str:
+        """``describe()`` as sorted-key JSON, serialised once for every digest."""
+        return json.dumps(self.describe(), sort_keys=True)
+
     def digest(self) -> str:
-        payload = json.dumps(self.describe(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(self.canonical_json.encode()).hexdigest()
+
+    @cached_property
+    def _law_columns(self) -> "_LawColumns":
+        return _LawColumns(self.traders)
+
+
+def _mean_or_inf(law: MetaorderLaw) -> float:
+    try:
+        return law.mean_length()
+    except NonconvergentMean:
+        return math.inf
+
+
+class _LawColumns:
+    """A population's laws as one batched kernel per batch key.
+
+    ``laws[g]`` runs the kernel of group g, ``group[i]`` is trader i's group
+    and ``param[i]`` its parameter; ``mean[i]`` is its mean length (inf if
+    the mean diverges).
+    """
+
+    def __init__(self, traders: Sequence[TraderSpec]):
+        keys = {}
+        self.laws = []
+        self.group = np.empty(len(traders), dtype=np.int32)
+        for i, t in enumerate(traders):
+            g = keys.setdefault(t.law.batch_key(), len(keys))
+            if g == len(self.laws):
+                self.laws.append(t.law)
+            self.group[i] = g
+        self.param = np.array([t.law.param for t in traders], dtype=np.float64)
+        self.mean = np.array([_mean_or_inf(t.law) for t in traders])
+
+    def invert(self, u: np.ndarray, trader: np.ndarray, stationary: bool = False):
+        """Lengths (or stationary remaining counts) of ``trader`` at uniforms ``u``."""
+        kernel = "remaining_from_uniform" if stationary else "lengths_from_uniform"
+        param = self.param[trader]
+        if len(self.laws) == 1:
+            return getattr(self.laws[0], kernel)(u, param)
+        out = np.empty(u.shape, dtype=np.int64)
+        group = self.group[trader]
+        for g, law in enumerate(self.laws):
+            hit = np.flatnonzero(group == g)
+            if hit.size:
+                out[hit] = getattr(law, kernel)(u[hit], param[hit])
+        return out
 
 
 @dataclass
@@ -149,20 +222,15 @@ def init_state(
 
     ``stationary`` samples each remaining count from the size-biased law
     P_st(R) = ccdf(R)/mean (the model's exact stationary marginal);
-    ``fresh_draw`` starts every trader on a brand-new metaorder.
+    ``fresh_draw`` starts every trader on a brand-new metaorder.  Either way
+    one uniform per trader goes through one batched inverse CDF per law kind.
     """
     if mode not in INIT_MODES:
         raise ConfigError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
     m = population.size
-    if mode == "stationary":
-        remaining = np.array(
-            [t.law.sample_stationary_remaining(rng) for t in population.traders],
-            dtype=np.int64,
-        )
-    else:
-        remaining = np.array(
-            [t.law.sample_length(rng) for t in population.traders], dtype=np.int64
-        )
+    remaining = population._law_columns.invert(
+        rng.random(m), np.arange(m), stationary=mode == "stationary"
+    )
     signs = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.int8)
     market_sign = int(rng.integers(0, 2)) * 2 - 1
     return MarketState(
@@ -195,84 +263,6 @@ def step(
     return i, s, completed
 
 
-class _TraderRuntime:
-    """Mutable per-trader run state used by the chunked fast path."""
-
-    __slots__ = ("law", "sign", "remaining", "progress", "mean", "log", "collect")
-
-    def __init__(self, law: MetaorderLaw, sign: int, remaining: int, progress: int,
-                 collect: bool):
-        self.law = law
-        self.sign = int(sign)
-        self.remaining = int(remaining)
-        self.progress = int(progress)
-        try:
-            self.mean = law.mean_length()
-        except NonconvergentMean:
-            self.mean = None
-        self.log: list[np.ndarray] = []
-        self.collect = collect
-
-    def emit(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Produce this trader's next n signs and update run bookkeeping."""
-        if n < self.remaining:
-            self.remaining -= n
-            self.progress += n
-            return np.full(n, self.sign, dtype=np.int8)
-        head = np.full(self.remaining, self.sign, dtype=np.int8)
-        if self.collect:
-            self.log.append(
-                np.array([self.progress + self.remaining], dtype=np.int64)
-            )
-        m = n - self.remaining
-        if m == 0:
-            self._redraw(rng)
-            return head
-        lengths = self._draw_runs(m, rng)
-        cs = np.cumsum(lengths.astype(np.float64))
-        j = int(np.searchsorted(cs, float(m), side="left"))
-        run_signs = (rng.integers(0, 2, size=j + 1, dtype=np.int8) * 2 - 1)
-        emitted_last = m - (int(cs[j - 1]) if j > 0 else 0)
-        reps = np.empty(j + 1, dtype=np.int64)
-        reps[:j] = lengths[:j]
-        reps[j] = emitted_last
-        body = np.repeat(run_signs, reps)
-        if self.collect and j > 0:
-            self.log.append(lengths[:j].copy())
-        if emitted_last == lengths[j]:
-            if self.collect:
-                self.log.append(lengths[j : j + 1].copy())
-            self._redraw(rng)
-        else:
-            self.sign = int(run_signs[j])
-            self.remaining = int(lengths[j]) - emitted_last
-            self.progress = emitted_last
-        return np.concatenate((head, body))
-
-    def _redraw(self, rng):
-        self.remaining = int(self.law.sample_length(rng))
-        self.progress = 0
-        self.sign = int(rng.integers(0, 2)) * 2 - 1
-
-    def _draw_runs(self, m: int, rng) -> np.ndarray:
-        if self.mean is not None:
-            batch = max(8, int(m / self.mean * 1.15) + 4)
-        else:
-            batch = 8
-        parts = []
-        total = 0
-        while total < m:
-            draw = self.law.sample_length(rng, size=batch)
-            parts.append(draw)
-            total += int(draw.sum(dtype=np.float64))
-            batch *= 4
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def reset_collection(self):
-        self.log = []
-        self.progress = 0
-
-
 def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
     if collect_lengths is True:
         return np.ones(size, dtype=bool)
@@ -286,6 +276,204 @@ def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
     return mask
 
 
+# splitmix64 constants: the golden-ratio increment and the two output multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 output function, in place on a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _streams(seed):
+    """Selection generator, initial-state generator and metaorder key of a seed."""
+    if isinstance(seed, np.random.Generator):
+        root = np.random.SeedSequence(
+            seed.integers(0, 1 << 64, size=4, dtype=np.uint64).tolist()
+        )
+    elif isinstance(seed, np.random.SeedSequence):
+        root = seed
+    else:
+        root = np.random.SeedSequence(seed)
+    # children by spawn key, so a caller's SeedSequence is not advanced
+    select, start, keyed = (
+        np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, k), pool_size=root.pool_size
+        )
+        for k in range(3)
+    )
+    return (
+        np.random.Generator(np.random.PCG64(select)),
+        np.random.Generator(np.random.PCG64(start)),
+        keyed.generate_state(1, np.uint64)[0],
+    )
+
+
+class _Traders:
+    """Every trader's metaorder state, advanced a chunk of selections at a time.
+
+    ``serial`` is the index q of each trader's current metaorder: 0 for the
+    one the initial state is inside, then 1, 2, ...  Fresh metaorders take
+    their length and sign from ``draw``, keyed on (trader, q).
+    """
+
+    def __init__(self, population: Population, state: MarketState, key: np.uint64):
+        m = population.size
+        self.laws = population._law_columns
+        self.sign = state.signs.copy()
+        self.remaining = state.remaining.copy()
+        self.progress = state.progress.copy()
+        self.serial = np.zeros(m, dtype=np.int64)
+        self.base = _mix64(np.arange(1, m + 1, dtype=np.uint64) * _GAMMA + key)
+
+    def draw(self, trader: np.ndarray, first: np.ndarray, count: np.ndarray):
+        """Lengths (int64) and signs (int8) of metaorders ``first[j]``, ...,
+        ``first[j] + count[j] - 1`` of ``trader[j]``, concatenated over j."""
+        start = self.base[trader] + first.astype(np.uint64) * _GAMMA
+        # element e of trader j has key start[j] + (e - offset[j]) G
+        offset = (np.cumsum(count) - count).astype(np.uint64)
+        z = np.arange(int(count.sum()), dtype=np.uint64)
+        z *= _GAMMA
+        z += np.repeat(start - offset * _GAMMA, count)
+        _mix64(z)
+        sign = (z & 1).astype(np.int8)
+        sign += sign - 1
+        u = (z >> 11) * 2.0**-53
+        return self.laws.invert(u, np.repeat(trader, count)), sign
+
+    def fresh_runs(self, trader: np.ndarray, need: np.ndarray, cap: int):
+        """The fresh metaorders ``trader[j]`` runs through in ``need[j] >= 1`` steps.
+
+        Each round draws every pending trader a batch sized from its mean
+        length, at least 4**round (for laws without a mean) but never more
+        than it still needs (every length is >= 1, so that always suffices).
+        A trader whose batch falls short keeps it whole and continues in the
+        next round from the metaorder after it; keyed draws make the result
+        independent of the batch sizes.  Returns the number of runs touched
+        and the steps emitted from the last one, per trader, and the lengths
+        and signs of the touched runs in trader order.
+        """
+        first = self.serial[trader] + 1
+        mean = self.laws.mean[trader]
+        touched = np.zeros(need.size, dtype=np.int64)
+        emitted = np.empty(need.size, dtype=np.int64)
+        left = need.copy()  # steps the runs drawn so far leave unserved
+        pieces = []
+        pending = np.arange(need.size)
+        least = 1
+        while pending.size:
+            k = left[pending] / mean[pending]  # expected runs to serve `left`
+            b = np.maximum((k + np.sqrt(k)).astype(np.int64) + 1, least)
+            b = np.minimum(left[pending], b)
+            least *= 4
+            start = np.cumsum(b) - b
+            lengths, signs = self.draw(
+                trader[pending], first[pending] + touched[pending], b
+            )
+            # clipping at the chunk length leaves the first crossing of `left` in place
+            clipped = np.minimum(lengths, cap)
+            reach = np.cumsum(clipped)
+            before = reach[start] - clipped[start]
+            cross = np.searchsorted(reach, before + left[pending])
+            found = cross < start + b
+            # a short trader keeps its whole batch, a found one up to the crossing
+            stop = np.where(found, cross + 1, start + b)
+            edge = np.zeros(lengths.size + 1, dtype=np.int8)
+            edge[start] = 1
+            edge[stop] -= 1
+            keep = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+            pieces.append(
+                (pending, touched[pending], stop - start, lengths[keep], signs[keep])
+            )
+            j, cross = pending[found], cross[found]
+            emitted[j] = left[j] - (reach[cross] - clipped[cross] - before[found])
+            touched[pending] += stop - start
+            left[pending] -= reach[start + b - 1] - before
+            pending = pending[~found]
+        if len(pieces) == 1:
+            return touched, emitted, pieces[0][3], pieces[0][4]
+        slot = np.cumsum(touched) - touched
+        lengths = np.empty(int(touched.sum()), dtype=np.int64)
+        signs = np.empty(lengths.size, dtype=np.int8)
+        for j, done, kept, piece_lengths, piece_signs in pieces:
+            # trader j's runs of this round follow the `done` it kept before
+            dest = np.repeat(slot[j] + done - (np.cumsum(kept) - kept), kept)
+            dest += np.arange(dest.size)
+            lengths[dest] = piece_lengths
+            signs[dest] = piece_signs
+        return touched, emitted, lengths, signs
+
+    def advance(self, counts: np.ndarray, cap: int, collect: np.ndarray | None):
+        """Serve one chunk in which trader i is selected ``counts[i]`` times.
+
+        Returns the chunk's run table in trader order (signs, lengths; their
+        ``np.repeat`` is the chunk's signs grouped by trader), the active
+        traders with the index of each one's last run, and, when ``collect``
+        is given, the completed metaorders of collected traders as (trader,
+        logged length) in trader order.
+        """
+        act = np.flatnonzero(counts)
+        c = counts[act]
+        rem = self.remaining[act]
+        need = c - rem  # steps served after the current metaorder ends
+        fresh = np.flatnonzero(need > 0)
+        touched, emitted, lengths, signs = self.fresh_runs(
+            act[fresh], need[fresh], cap
+        )
+
+        n_runs = np.ones(act.size, dtype=np.int64)
+        n_runs[fresh] += touched
+        head = np.cumsum(n_runs) - n_runs
+        end = head + n_runs - 1
+        run_len = np.empty(int(end[-1]) + 1, dtype=np.int64)
+        run_sign = np.empty(run_len.size, dtype=np.int8)
+        is_fresh = np.ones(run_len.size, dtype=bool)
+        is_fresh[head] = False
+        run_len[head] = np.minimum(c, rem)
+        run_sign[head] = self.sign[act]
+        run_len[is_fresh] = lengths
+        run_sign[is_fresh] = signs
+        last_len = run_len[end[fresh]]
+        run_len[end[fresh]] = emitted
+        complete = emitted == last_len
+
+        inside = need < 0
+        part = fresh[~complete]
+        restart = need == 0
+        restart[fresh[complete]] = True
+
+        log = None
+        if collect is not None:
+            owner = np.repeat(act, n_runs)
+            logged = run_len.copy()
+            logged[head] += self.progress[act]
+            keep = collect[owner]
+            keep[end[inside]] = False
+            keep[end[part]] = False
+            log = owner[keep], logged[keep]
+
+        t = act[inside]
+        self.remaining[t] -= c[inside]
+        self.progress[t] += c[inside]
+        self.serial[act[fresh]] += touched
+        t = act[part]
+        self.sign[t] = run_sign[end[part]]
+        self.remaining[t] = last_len[~complete] - emitted[~complete]
+        self.progress[t] = emitted[~complete]
+        t = act[restart]
+        self.serial[t] += 1
+        self.remaining[t], self.sign[t] = self.draw(t, self.serial[t], np.ones_like(t))
+        self.progress[t] = 0
+        return run_sign, run_len, act, end, log
+
+
 def simulate(
     population: Population,
     steps: int,
@@ -295,7 +483,7 @@ def simulate(
     burn_in: int | None = None,
     collect_lengths=True,
     keep_signs: bool = True,
-    chunk_size: int = 1 << 23,
+    chunk_size: int = 1 << 20,
 ) -> SimulationOutput:
     """Run the market for ``steps`` steps and return signs plus bookkeeping.
 
@@ -306,7 +494,8 @@ def simulate(
         Number of recorded steps (after any burn-in).
     seed : int, SeedSequence or Generator
         Source of randomness; the same seed always reproduces the output
-        byte for byte.
+        byte for byte, whatever ``chunk_size``.  A Generator is advanced by
+        the four words of entropy drawn from it.
     init_mode : {"stationary", "fresh_draw"}
     burn_in : int, optional
         Discarded warm-up steps.  Defaults to 0 for stationary starts and to
@@ -315,16 +504,18 @@ def simulate(
         Which traders append completed metaorders to the log.
     keep_signs : bool
         Store the emitted sign series (int8, one byte per step).
+    chunk_size : int
+        Steps per chunk; it bounds the temporaries and changes no output.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if chunk_size < 1:
         raise ConfigError("chunk_size must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seed_repr = seed if isinstance(seed, (int, np.integer)) else None
+    select_rng, init_rng, key = _streams(seed)
 
     m = population.size
-    state0 = init_state(population, rng, init_mode)
+    state0 = init_state(population, init_rng, init_mode)
     if burn_in is None:
         burn_in = (
             0
@@ -335,74 +526,69 @@ def simulate(
         raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
 
     collect_mask = _normalise_collect(collect_lengths, m)
-    runtimes = [
-        _TraderRuntime(
-            t.law,
-            state0.signs[i],
-            state0.remaining[i],
-            state0.progress[i],
-            bool(collect_mask[i]),
-        )
-        for i, t in enumerate(population.traders)
-    ]
+    collect = collect_mask if collect_mask.any() else None
+    traders = _Traders(population, state0, key)
     sampler = AliasTable.from_weights(population.intensities)
+    id_type = np.uint16 if m <= 1 << 16 else np.int32
     prob = sampler.prob
-    alias = sampler.alias
+    alias = sampler.alias.astype(id_type)
 
     signs_out = np.empty(steps, dtype=np.int8) if keep_signs else None
     selection_counts = np.zeros(m, dtype=np.int64)
+    logged = []  # (trader, length) per chunk, each in trader order
     market_sign = state0.market_sign
 
-    def run_span(total: int, recording: bool, offset: int = 0):
-        nonlocal market_sign, selection_counts
+    def run_span(total: int, recording: bool):
+        nonlocal market_sign
         done = 0
         while done < total:
             n = min(chunk_size, total - done)
-            idx = rng.integers(0, m, size=n)
-            u = rng.random(n)
-            sel = np.where(u < prob[idx], idx, alias[idx]).astype(np.int32)
-            del idx, u
+            # one double per step: column floor(u m), alias coin its fraction
+            x = select_rng.random(n)
+            x *= m
+            column = x.astype(id_type)
+            x -= column
+            sel = np.where(x < prob[column], column, alias[column])
+            del x, column
             counts = np.bincount(sel, minlength=m)
-            order = np.argsort(sel, kind="stable")
-            chunk_signs = np.empty(n, dtype=np.int8)
-            start = 0
-            for i in np.nonzero(counts)[0]:
-                c = int(counts[i])
-                chunk_signs[order[start : start + c]] = runtimes[i].emit(c, rng)
-                start += c
-            market_sign = int(chunk_signs[-1])
+            run_sign, run_len, act, end, completed = traders.advance(
+                counts, n, collect if recording else None
+            )
+            market_sign = int(run_sign[end[np.searchsorted(act, sel[-1])]])
             if recording:
-                selection_counts += counts
+                selection_counts[:] += counts
+                if completed is not None:
+                    logged.append((completed[0].astype(id_type), completed[1]))
                 if signs_out is not None:
-                    signs_out[offset + done : offset + done + n] = chunk_signs
+                    order = np.argsort(sel, kind="stable")
+                    signs_out[done : done + n][order] = np.repeat(run_sign, run_len)
             done += n
 
     if burn_in:
         run_span(burn_in, recording=False)
-        for rt in runtimes:
-            rt.reset_collection()
-    if steps:
-        run_span(steps, recording=True)
+        traders.progress[:] = 0
+    run_span(steps, recording=True)
 
     final_state = MarketState(
         market_sign=market_sign,
-        signs=np.array([rt.sign for rt in runtimes], dtype=np.int8),
-        remaining=np.array([rt.remaining for rt in runtimes], dtype=np.int64),
-        progress=np.array([rt.progress for rt in runtimes], dtype=np.int64),
+        signs=traders.sign,
+        remaining=traders.remaining,
+        progress=traders.progress,
     )
-    log = [
-        np.concatenate(rt.log) if rt.log else np.array([], dtype=np.int64)
-        for rt in runtimes
-    ]
-    digest_payload = {
-        "population": population.describe(),
-        "steps": steps,
-        "init_mode": init_mode,
-        "burn_in": burn_in,
-    }
-    digest = hashlib.sha256(
-        json.dumps(digest_payload, sort_keys=True).encode()
-    ).hexdigest()
+    if logged:
+        owner = np.concatenate([o for o, _ in logged])
+        lengths = np.concatenate([v for _, v in logged])
+        logged.clear()
+        lengths = lengths[np.argsort(owner, kind="stable")]
+        bounds = np.cumsum(np.bincount(owner, minlength=m)).tolist()
+        log = [lengths[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
+    else:
+        log = [np.empty(0, dtype=np.int64)] * m
+    # the old sort_keys layout of {"burn_in", "init_mode", "population", "steps"}
+    payload = (
+        f'{{"burn_in": {json.dumps(burn_in)}, "init_mode": {json.dumps(init_mode)}, '
+        f'"population": {population.canonical_json}, "steps": {json.dumps(steps)}}}'
+    )
     return SimulationOutput(
         signs=signs_out,
         metaorder_log=log,
@@ -411,7 +597,7 @@ def simulate(
         final_state=final_state,
         steps=steps,
         seed=int(seed_repr) if seed_repr is not None else None,
-        config_digest=digest,
+        config_digest=hashlib.sha256(payload.encode()).hexdigest(),
         burn_in=burn_in,
         lengths_collected=collect_mask,
     )

@@ -1,11 +1,18 @@
 """Metaorder length laws and deterministic population allocation rules.
 
 A law describes the distribution of the total child-order count L >= 1 of a
-metaorder.  The simulator consumes batched samples, the exact theory consumes
-pointwise PMF/CCDF values and tail masses, and stationary initialisation
-consumes the size-biased remaining-length distribution
+metaorder.  The simulator consumes inverse CDFs evaluated at uniforms, the
+exact theory consumes pointwise PMF/CCDF values and tail masses, and
+stationary initialisation consumes the size-biased remaining-length
+distribution
 
     P_st(R) = ccdf(R) / mean_length,   R = 1, 2, ...
+
+Each law writes its two inverse CDFs once, vectorised over uniforms and over
+a parameter array (``lengths_from_uniform``, ``remaining_from_uniform``);
+the ``sample_*`` methods and the engine's batched draws both call them.
+Laws with equal ``batch_key()`` share one kernel and differ only in
+``param``, so the engine draws a whole population kind by kind.
 
 All laws are immutable after construction.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from .errors import (
     InvalidSupport,
     NonconvergentMean,
 )
-from .numerics import AliasTable, powerlaw_tail_sum
+from .numerics import powerlaw_tail_sum
 
 __all__ = [
     "MetaorderLaw",
@@ -56,6 +63,8 @@ class MetaorderLaw:
     """Common interface for metaorder length distributions."""
 
     kind: str = "abstract"
+    # per-law parameter of the batched kernels (decay length, tail exponent)
+    param: float = 0.0
 
     def pmf(self, length):
         """P(L = length); vectorised over integer arrays."""
@@ -73,13 +82,29 @@ class MetaorderLaw:
         """Sum of ``ccdf(L)`` over ``L >= start`` (tail mass of the CCDF)."""
         raise NotImplementedError
 
-    def sample_length(self, rng: np.random.Generator, size=None):
-        """Draw metaorder lengths."""
+    def batch_key(self) -> tuple:
+        """Laws with equal keys share one kernel and differ only in ``param``."""
+        return (self.kind,)
+
+    def lengths_from_uniform(self, u, param=None) -> np.ndarray:
+        """Inverse CDF: lengths for uniforms ``u`` in [0, 1) (int64 array).
+
+        ``param`` is an array of this kind's parameter, one per uniform; it
+        defaults to this law's own.
+        """
         raise NotImplementedError
+
+    def remaining_from_uniform(self, u, param=None) -> np.ndarray:
+        """Inverse CDF of the stationary remaining law P_st, as above."""
+        raise NotImplementedError
+
+    def sample_length(self, rng: np.random.Generator, size=None):
+        """Draw metaorder lengths, one uniform each."""
+        return self._draw(self.lengths_from_uniform, rng, size)
 
     def sample_stationary_remaining(self, rng: np.random.Generator, size=None):
         """Draw remaining lengths from the size-biased stationary law."""
-        raise NotImplementedError
+        return self._draw(self.remaining_from_uniform, rng, size)
 
     def stationary_remaining_pdf(self, remaining):
         """P_st(R) = ccdf(R) / mean_length for integer ``remaining >= 1``."""
@@ -89,10 +114,10 @@ class MetaorderLaw:
     def as_config(self) -> dict:
         raise NotImplementedError
 
-    def _scalar(self, value, size):
-        if size is None:
-            return int(value[()] if np.ndim(value) else value)
-        return value
+    @staticmethod
+    def _draw(kernel, rng, size):
+        draw = kernel(rng.random(size=1 if size is None else size))
+        return int(draw[0]) if size is None else draw
 
 
 @dataclass(frozen=True)
@@ -115,11 +140,10 @@ class Degenerate(MetaorderLaw):
     def ccdf_tail(self, start: int) -> float:
         return 1.0 if start <= 1 else 0.0
 
-    def sample_length(self, rng, size=None):
-        return 1 if size is None else np.ones(size, dtype=np.int64)
+    def lengths_from_uniform(self, u, param=None):
+        return np.ones(np.shape(u), dtype=np.int64)
 
-    def sample_stationary_remaining(self, rng, size=None):
-        return self.sample_length(rng, size)
+    remaining_from_uniform = lengths_from_uniform
 
     def as_config(self) -> dict:
         return {"kind": self.kind}
@@ -162,14 +186,17 @@ class Exponential(MetaorderLaw):
             raise DomainError(f"tail start must be >= 1, got {start}")
         return math.exp(-(start - 1.0) / self.decay_length) / self._step_mass
 
-    def sample_length(self, rng, size=None):
-        u = rng.random(size=size)
-        # 1 - u is uniform on (0, 1]; floor transform reproduces the CCDF exactly
-        draw = 1 + np.floor(-self.decay_length * np.log1p(-u)).astype(np.int64)
-        return self._scalar(draw, size)
+    @property
+    def param(self) -> float:
+        return self.decay_length
 
-    def sample_stationary_remaining(self, rng, size=None):
-        return self.sample_length(rng, size)
+    def lengths_from_uniform(self, u, param=None):
+        decay = self.decay_length if param is None else param
+        # 1 - u is uniform on (0, 1]; floor transform reproduces the CCDF exactly
+        return 1 + np.floor(-decay * np.log1p(-u)).astype(np.int64)
+
+    # memoryless: the stationary remaining count has the law of L itself
+    remaining_from_uniform = lengths_from_uniform
 
     def as_config(self) -> dict:
         return {"kind": self.kind, "decay_length": self.decay_length}
@@ -186,8 +213,6 @@ class DiscretePareto(MetaorderLaw):
 
     tail_exponent: float
     kind = "pareto"
-
-    _stationary_cap = 1 << 20
 
     def __post_init__(self):
         if not (self.tail_exponent > 0.0 and math.isfinite(self.tail_exponent)):
@@ -215,51 +240,67 @@ class DiscretePareto(MetaorderLaw):
         # the exact ACF takes one tail per curve, so it can afford full precision
         return powerlaw_tail_sum(self.tail_exponent, start, rel_tol=1e-15)
 
-    def sample_length(self, rng, size=None):
-        u = rng.random(size=size)
+    @property
+    def param(self) -> float:
+        return self.tail_exponent
+
+    def lengths_from_uniform(self, u, param=None):
+        alpha = self.tail_exponent if param is None else param
         # floor((1-u)**(-1/alpha)) hits the discrete CCDF exactly
-        raw = np.floor((1.0 - u) ** (-1.0 / self.tail_exponent))
-        draw = np.minimum(raw, float(_REMAINING_CAP)).astype(np.int64)
-        return self._scalar(draw, size)
+        raw = np.floor((1.0 - u) ** (-1.0 / alpha))
+        return np.minimum(raw, float(_REMAINING_CAP)).astype(np.int64)
 
-    @cached_property
-    def _stationary_table(self) -> np.ndarray:
-        # head CDF of P_st up to the cap; the tail is inverted analytically
-        mean = self.mean_length()
-        r = np.arange(1, self._stationary_cap + 1, dtype=np.float64)
-        return np.cumsum(r**-self.tail_exponent) / mean
-
-    def sample_stationary_remaining(self, rng, size=None):
-        mean = self.mean_length()
-        n = 1 if size is None else int(size)
-        u = rng.random(size=n)
-        table = self._stationary_table
-        out = np.empty(n, dtype=np.int64)
-        head = u < table[-1]
-        out[head] = 1 + np.searchsorted(table, u[head], side="right")
-        for i in np.nonzero(~head)[0]:
-            out[i] = self._invert_stationary_tail((1.0 - u[i]) * mean)
-        return int(out[0]) if size is None else out
-
-    def _invert_stationary_tail(self, target: float) -> int:
-        """Smallest r > cap with zeta-tail(r + 1) <= target, clamped to int64 range."""
-        a = self.tail_exponent
-        lo = self._stationary_cap + 1
-        hi = lo
-        while powerlaw_tail_sum(a, hi + 1) > target:
-            hi *= 2
-            if hi >= _REMAINING_CAP:
-                return _REMAINING_CAP
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if powerlaw_tail_sum(a, mid + 1) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    def remaining_from_uniform(self, u, param=None):
+        u = np.asarray(u, dtype=np.float64)
+        alpha = np.broadcast_to(self.tail_exponent if param is None else param, u.shape)
+        out = np.empty(u.shape, dtype=np.int64)
+        for a in np.unique(alpha):
+            hit = alpha == a
+            out[hit] = _pareto_remaining(u[hit], float(a))
+        return out
 
     def as_config(self) -> dict:
         return {"kind": self.kind, "alpha": self.tail_exponent}
+
+
+_STATIONARY_CAP = 1 << 20
+
+
+@lru_cache(maxsize=4)
+def _stationary_table(alpha: float) -> np.ndarray:
+    """Head CDF of the Pareto P_st up to the cap, shared by every law of this alpha."""
+    mean = powerlaw_tail_sum(alpha, 1)
+    r = np.arange(1, _STATIONARY_CAP + 1, dtype=np.float64)
+    table = np.cumsum(r**-alpha) / mean
+    table.setflags(write=False)
+    return table
+
+
+def _pareto_remaining(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Pareto P_st draws: table lookup, then exact tail inversion past the table."""
+    table = _stationary_table(alpha)
+    mean = powerlaw_tail_sum(alpha, 1)
+    out = 1 + np.searchsorted(table, u, side="right")
+    for i in np.flatnonzero(u >= table[-1]):
+        out[i] = _invert_stationary_tail(alpha, (1.0 - u[i]) * mean)
+    return out
+
+
+def _invert_stationary_tail(alpha: float, target: float) -> int:
+    """Smallest r > cap with zeta-tail(r + 1) <= target, clamped to int64 range."""
+    lo = _STATIONARY_CAP + 1
+    hi = lo
+    while powerlaw_tail_sum(alpha, hi + 1) > target:
+        hi *= 2
+        if hi >= _REMAINING_CAP:
+            return _REMAINING_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if powerlaw_tail_sum(alpha, mid + 1) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,25 +369,33 @@ class Tabulated(MetaorderLaw):
         span = np.maximum(0, self.support - start + 1)
         return float(np.dot(span, self.probs))
 
-    @cached_property
-    def _alias(self) -> AliasTable:
-        return AliasTable.from_weights(self.probs)
+    def batch_key(self) -> tuple:
+        return (self.kind, self.support.tobytes(), self.probs.tobytes())
 
     @cached_property
-    def _size_biased_alias(self) -> AliasTable:
-        return AliasTable.from_weights(self.probs * self.support)
+    def _cdf(self) -> np.ndarray:
+        return np.cumsum(self.probs)
 
-    def sample_length(self, rng, size=None):
-        idx = self._alias.draw(rng, size=size)
-        return self._scalar(self.support[idx], size)
+    @cached_property
+    def _stationary_knots(self) -> np.ndarray:
+        # P_st is flat at ccdf(r)/mean between atoms; its CDF at each atom
+        width = np.diff(self.support, prepend=0)
+        return np.cumsum(width * self._suffix_mass[:-1]) / self.mean_length()
 
-    def sample_stationary_remaining(self, rng, size=None):
-        # size-biased atom, then uniform position inside it:
-        # P(R = r) = sum_{s >= r} p_s / mean, the stationary remaining law
-        idx = self._size_biased_alias.draw(rng, size=size)
-        chosen = self.support[idx]
-        draw = rng.integers(1, chosen + 1, size=size)
-        return self._scalar(draw, size)
+    def lengths_from_uniform(self, u, param=None):
+        idx = np.searchsorted(self._cdf, u, side="right")
+        return self.support[np.minimum(idx, self.support.size - 1)]
+
+    def remaining_from_uniform(self, u, param=None):
+        # invert the piecewise-linear stationary CDF between atoms:
+        # P(R = r) = ccdf(r) / mean for r in (s_{k-1}, s_k]
+        knots = self._stationary_knots
+        k = np.minimum(np.searchsorted(knots, u, side="right"), knots.size - 1)
+        below = np.where(k > 0, knots[k - 1], 0.0)
+        prev = np.where(k > 0, self.support[k - 1], 0)
+        step = self._suffix_mass[k] / self.mean_length()
+        r = prev + 1 + np.floor((u - below) / step).astype(np.int64)
+        return np.clip(r, prev + 1, self.support[k])
 
     def as_config(self) -> dict:
         return {

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtr, gammaln
 
 from .errors import DomainError, NonconvergentMean
 
@@ -67,15 +67,20 @@ def log_binom_pmf(t: int, p: float, n):
 
 
 def binom_cdf_prefix(t: int, p: float, k_max: int) -> np.ndarray:
-    """Binomial CDF values ``P(N <= k)`` for ``k = 0 .. k_max`` in one sweep.
+    """Binomial CDF values ``P(N <= k)`` for ``k = 0 .. k_max``, ``N ~ Binomial(t, p)``.
 
-    Computed as a cumulative sum of exponentiated log masses; all terms are
-    non-negative so the cumsum is forward stable.
+    Each value is the regularised incomplete beta function
+    (``scipy.special.bdtr``), so values next to 1 are not tens of ulps low,
+    as an upward sum of the pmf is, and stay non-increasing in ``t``.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
-    pmf = np.exp(log_binom_pmf(t, p, np.arange(k_max + 1)))
-    return np.minimum(np.cumsum(pmf), 1.0)
+    if t < 0:
+        raise DomainError(f"trial count must be >= 0, got {t}")
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"probability must lie in [0, 1], got {p}")
+    # bdtr is nan past k = t, where the CDF is 1
+    return bdtr(np.minimum(np.arange(k_max + 1), t), t, p)
 
 
 def powerlaw_tail_sum(alpha: float, start: int | float, rel_tol: float = 1e-12) -> float:

@@ -1,6 +1,9 @@
 """Market dynamics: selection, metaorder bookkeeping, determinism."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from lmfsim import (
     simulate,
     step,
 )
+from lmfsim import engine
 from lmfsim.errors import DomainError
 
 EXP2_PMF1 = 0.3934693402873666
@@ -30,6 +34,58 @@ FRESH_PARETO15_PMF1 = 0.6464466094067263  # 1 - 2^{-1.5}
 def tab(d):
     items = sorted(d.items())
     return Tabulated(support=[k for k, _ in items], probs=[v for _, v in items])
+
+
+def mixed_population():
+    return Population([
+        TraderSpec(0.25, Exponential(decay_length=4.0)),
+        TraderSpec(0.2, DiscretePareto(tail_exponent=1.5)),
+        TraderSpec(0.15, tab({1: 0.3, 4: 0.3, 9: 0.4})),
+        TraderSpec(0.1, Degenerate()),
+        TraderSpec(0.2, Exponential(decay_length=30.0)),
+        TraderSpec(0.1, DiscretePareto(tail_exponent=2.5)),
+    ])
+
+
+def assert_same_run(a, b):
+    assert a.signs.tobytes() == b.signs.tobytes()
+    assert len(a.metaorder_log) == len(b.metaorder_log)
+    for x, y in zip(a.metaorder_log, b.metaorder_log):
+        assert np.array_equal(x, y)
+    assert np.array_equal(a.selection_counts, b.selection_counts)
+    assert a.final_state.market_sign == b.final_state.market_sign
+    for name in ("signs", "remaining", "progress"):
+        assert np.array_equal(getattr(a.final_state, name),
+                              getattr(b.final_state, name)), name
+
+
+def serial_reference(pop, steps, seed, init_mode, burn_in):
+    """Step-by-step market on simulate's streams: one trader, one step at a time."""
+    select_rng, init_rng, key = engine._streams(seed)
+    state = init_state(pop, init_rng, init_mode)
+    keyed = engine._Traders(pop, state, key)
+    table = AliasTable.from_weights(pop.intensities)
+    m = pop.size
+    sign, rem = state.signs.tolist(), state.remaining.tolist()
+    serial, prog, log, signs = [0] * m, [0] * m, [[] for _ in range(m)], []
+    for t, u in enumerate(select_rng.random(burn_in + steps).tolist()):
+        if t == burn_in:  # burn-in progress and completions are not recorded
+            prog, log, signs = [0] * m, [[] for _ in range(m)], []
+        x = u * m
+        i = int(x)
+        if not x - i < table.prob[i]:
+            i = int(table.alias[i])
+        signs.append(sign[i])
+        if rem[i] > 1:
+            rem[i] -= 1
+            prog[i] += 1
+        else:
+            log[i].append(prog[i] + 1)
+            serial[i] += 1
+            length, new_sign = keyed.draw(np.array([i]), np.array([serial[i]]),
+                                          np.array([1]))
+            rem[i], sign[i], prog[i] = int(length[0]), int(new_sign[0]), 0
+    return np.array(signs, dtype=np.int8), log, rem, prog
 
 
 class TestPopulation:
@@ -49,6 +105,20 @@ class TestPopulation:
         b = Population.homogeneous(4, Degenerate())
         assert a.digest() != b.digest()
         assert a.digest() == Population.homogeneous(3, Degenerate()).digest()
+
+    def test_digests_match_the_per_call_serialisation(self):
+        pop = mixed_population()
+        assert "canonical_json" not in vars(pop)  # serialised lazily
+        # the formulas both digests used before the JSON was shared
+        described = {"traders": [{"intensity": float(lam), "law": t.law.as_config()}
+                                 for lam, t in zip(pop.intensities, pop.traders)]}
+        assert pop.digest() == hashlib.sha256(
+            json.dumps(described, sort_keys=True).encode()).hexdigest()
+        out = simulate(pop, 300, seed=2, init_mode="fresh_draw")
+        payload = {"population": described, "steps": 300,
+                   "init_mode": "fresh_draw", "burn_in": out.burn_in}
+        assert out.config_digest == hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -95,6 +165,30 @@ class TestInitState:
         # fresh draws only need the raw law, which always samples
         state = init_state(pop, rng, mode="fresh_draw")
         assert state.remaining[0] >= 1
+
+    def test_batched_draws_match_each_law(self):
+        # one batched inverse CDF per law kind, with per-trader parameters,
+        # gives what each trader's own law gives at the same uniform
+        pop = mixed_population()
+        for mode, kernel in (("stationary", "remaining_from_uniform"),
+                             ("fresh_draw", "lengths_from_uniform")):
+            state = init_state(pop, np.random.default_rng(24), mode)
+            u = np.random.default_rng(24).random(pop.size)
+            for i, t in enumerate(pop.traders):
+                assert state.remaining[i] == getattr(t.law, kernel)(u[i : i + 1])[0]
+
+    def test_equal_pareto_laws_share_one_table(self):
+        # the stationary head table (8 MB) is built per tail exponent, not
+        # per law instance: 100 instances once cost 816 MB here
+        pop = Population([TraderSpec(0.01, DiscretePareto(tail_exponent=1.5))
+                          for _ in range(100)])
+        tracemalloc.start()
+        try:
+            init_state(pop, np.random.default_rng(33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(7)
@@ -167,7 +261,11 @@ class TestSimulate:
         out = simulate(pop, 30_000, seed=13)
         lengths = out.metaorder_log[0]
         assert lengths.size > 0
-        assert np.all(lengths == 3)
+        # the first completion logs only the in-window part of the initial
+        # metaorder: the lone trader runs its stationary remaining count out
+        start = init_state(pop, engine._streams(13)[1])
+        assert lengths[0] == start.remaining[0]
+        assert np.all(lengths[1:] == 3)
         # sign changes can only occur at multiples of 3 from the first boundary
         flips = np.nonzero(np.diff(out.signs))[0]
         if flips.size > 1:
@@ -255,6 +353,22 @@ class TestSimulate:
             se = math.sqrt(p * (1 - p) / lengths.size)
             assert abs(np.mean(lengths >= probe) - p) < 4 * se
 
+    def test_bookkeeping_across_many_chunk_boundaries(self):
+        # tabulated and infinite-mean traders drawing fresh metaorders across
+        # some 800 chunk boundaries, against one chunk
+        pop = Population([TraderSpec(0.4, tab({1: 0.3, 4: 0.3, 9: 0.4})),
+                          TraderSpec(0.3, DiscretePareto(tail_exponent=0.8)),
+                          TraderSpec(0.3, Degenerate())])
+        runs = [simulate(pop, 50_000, seed=25, init_mode="fresh_draw", chunk_size=c)
+                for c in (61, 1 << 20)]
+        for out in runs:
+            for i in range(pop.size):
+                logged = int(out.metaorder_log[i].sum())
+                assert (logged + int(out.final_progress[i])
+                        == int(out.selection_counts[i]))
+        assert np.all(np.isin(runs[0].metaorder_log[0][1:], (1, 4, 9)))
+        assert_same_run(*runs)
+
     def test_lag1_matches_homogeneous_theory(self):
         # market of 10 exponential splitters: C_1 = M lam^2 e^{-1/L*}
         pop = Population.homogeneous(10, Exponential(decay_length=5.0))
@@ -264,9 +378,98 @@ class TestSimulate:
         se = 1.0 / math.sqrt(out.steps)
         assert abs(curve.values[0] - expected) < 3 * se
 
+    def test_memory_is_chunk_bounded(self):
+        # 10 MB of signs and about 15 MB of metaorder log are output; the
+        # temporaries stay at chunk size (an 8 Mi-step chunk peaks at 270 MB)
+        pop = Population.homogeneous(10, Exponential(decay_length=5.0))
+        tracemalloc.start()
+        try:
+            out = simulate(pop, 10_000_000, seed=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.selection_counts.sum() == 10_000_000
+        assert peak < 96 * 2**20, peak
+
     def test_errors(self):
         pop = Population.homogeneous(1, Degenerate())
         with pytest.raises(DomainError):
             simulate(pop, 0, seed=1)
         with pytest.raises(ConfigError):
             simulate(pop, 100, seed=1, collect_lengths=[5])
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("init_mode", ["stationary", "fresh_draw"])
+    def test_chunk_size_does_not_change_output(self, init_mode):
+        pop = mixed_population()
+        chunkings = ({"chunk_size": 17}, {"chunk_size": 4096}, {})  # {} is the default
+        runs = [simulate(pop, 30_000, seed=27, init_mode=init_mode, **kw)
+                for kw in chunkings]
+        assert runs[0].burn_in == (0 if init_mode == "stationary" else 100)
+        for other in runs[1:]:
+            assert_same_run(runs[0], other)
+
+    def test_chunk_size_does_not_change_output_past_16_bit_ids(self):
+        # M > 65536 takes int32 trader ids in selection, sort and log regrouping
+        m, law = 70_000, tab({1: 0.5, 4: 0.5})
+        pop = Population([TraderSpec(0.1 * (1 + i % 3), law)
+                          for i in range(m)])
+        chunkings = ({"chunk_size": 17}, {"chunk_size": 4096}, {})
+        runs = [simulate(pop, 20_000, seed=28, **kw) for kw in chunkings]
+        assert runs[0].selection_counts[1 << 16 :].sum() > 0
+        assert sum(log.size for log in runs[0].metaorder_log[1 << 16 :]) > 0
+        for other in runs[1:]:
+            assert_same_run(runs[0], other)
+        signs, log, rem, prog = serial_reference(pop, 20_000, 28, "stationary", 0)
+        assert runs[0].signs.tobytes() == signs.tobytes()
+        assert [x.tolist() for x in runs[0].metaorder_log] == log
+        assert runs[0].final_state.remaining.tolist() == rem
+        assert runs[0].final_state.progress.tolist() == prog
+
+    @pytest.mark.parametrize("init_mode", ["stationary", "fresh_draw"])
+    def test_matches_the_step_by_step_reference(self, init_mode):
+        pop = mixed_population()
+        out = simulate(pop, 20_000, seed=31, init_mode=init_mode, chunk_size=4096)
+        signs, log, rem, prog = serial_reference(pop, 20_000, 31, init_mode,
+                                                 out.burn_in)
+        assert out.signs.tobytes() == signs.tobytes()
+        for i in range(pop.size):
+            assert out.metaorder_log[i].tolist() == log[i]
+        assert out.final_state.remaining.tolist() == rem
+        assert out.final_state.progress.tolist() == prog
+        assert out.final_state.market_sign == signs[-1]
+
+    def test_lengths_at_the_int64_cap(self):
+        # tail exponent 0.05 draws about one length in eight at the 2**62 cap,
+        # so the running sum over a batch would overflow int64 unclipped
+        pop = Population.homogeneous(50, DiscretePareto(tail_exponent=0.05))
+        out = simulate(pop, 20_000, seed=32, init_mode="fresh_draw", chunk_size=4096)
+        signs, log, rem, prog = serial_reference(pop, 20_000, 32, "fresh_draw",
+                                                 out.burn_in)
+        assert out.signs.tobytes() == signs.tobytes()
+        assert [x.tolist() for x in out.metaorder_log] == log
+        assert out.final_state.remaining.tolist() == rem
+        assert max(rem) > 1 << 61  # a trader is stuck in a capped metaorder
+
+    def test_each_seed_form_repeats_its_output(self):
+        pop = mixed_population()
+        seq = np.random.SeedSequence(28)
+        by_int = [simulate(pop, 5_000, seed=28) for _ in range(2)]
+        by_seq = [simulate(pop, 5_000, seed=seq) for _ in range(2)]
+        by_gen = [simulate(pop, 5_000, seed=np.random.default_rng(28))
+                  for _ in range(2)]
+        for a, b in (by_int, by_seq, by_gen):
+            assert_same_run(a, b)
+        # an int seed is the SeedSequence it names
+        assert_same_run(by_int[0], by_seq[0])
+        assert by_gen[0].signs.tobytes() != by_int[0].signs.tobytes()
+        other = simulate(pop, 5_000, seed=29)
+        assert other.signs.tobytes() != by_int[0].signs.tobytes()
+
+    def test_a_generator_advances(self):
+        rng = np.random.default_rng(30)
+        pop = mixed_population()
+        first = simulate(pop, 2_000, seed=rng)
+        second = simulate(pop, 2_000, seed=rng)
+        assert first.signs.tobytes() != second.signs.tobytes()

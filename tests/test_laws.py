@@ -20,6 +20,7 @@ from lmfsim import (
     fit_powerlaw,
     intensity_rescale_factor,
     law_from_config,
+    powerlaw_tail_sum,
 )
 from lmfsim.errors import DomainError
 
@@ -199,6 +200,40 @@ class TestSampling:
             p = law.stationary_remaining_pdf(r)
             se = math.sqrt(p * (1 - p) / draws.size)
             assert abs(np.mean(draws == r) - p) < 4 * se
+
+    @pytest.mark.parametrize("law", [
+        Degenerate(), Exponential(decay_length=3.0), DiscretePareto(tail_exponent=1.5),
+        Tabulated(support=[2, 5, 11], probs=[0.2, 0.5, 0.3])])
+    def test_sampling_inverts_the_cdf_at_the_generator_uniforms(self, law):
+        u = np.random.default_rng(108).random(200)
+        draws = law.sample_length(np.random.default_rng(108), size=200)
+        assert np.array_equal(draws, law.lengths_from_uniform(u))
+        # P(L < draw) <= u < P(L <= draw)
+        assert np.all(1.0 - law.ccdf(draws) <= u + 1e-12)
+        assert np.all(u < 1.0 - law.ccdf(draws + 1) + 1e-12)
+        remaining = law.sample_stationary_remaining(np.random.default_rng(108),
+                                                    size=200)
+        assert np.array_equal(remaining, law.remaining_from_uniform(u))
+        cdf = np.concatenate(([0.0], np.cumsum(law.stationary_remaining_pdf(
+            np.arange(1, remaining.max() + 1)))))
+        assert np.all(cdf[remaining - 1] <= u + 1e-12)
+        assert np.all(u < cdf[remaining] + 1e-12)
+
+    def test_stationary_pareto_tail_beyond_the_table_is_exact(self):
+        law = DiscretePareto(tail_exponent=1.5)
+        cap = 1 << 20
+        head = law.stationary_remaining_pdf(np.arange(1, cap + 1)).sum()
+        u = np.array([0.5, head + 0.3 * (1 - head), 0.1, head + 0.9 * (1 - head)])
+        alpha = np.array([1.5, 1.5, 2.5, 1.5])
+        r = law.remaining_from_uniform(u, alpha)
+        assert r[0] == law.remaining_from_uniform(u[:1])[0]
+        other = DiscretePareto(tail_exponent=2.5)
+        assert r[2] == other.remaining_from_uniform(u[2:3])[0]
+        for ri, ui in zip(r[[1, 3]], u[[1, 3]]):
+            # smallest r with P(R > r) <= 1 - u, from the zeta tail itself
+            target = (1.0 - ui) * law.mean_length()
+            assert ri > cap
+            assert powerlaw_tail_sum(1.5, ri + 1) <= target < powerlaw_tail_sum(1.5, ri)
 
     def test_stationary_pareto_infinite_mean_raises(self):
         rng = np.random.default_rng(107)

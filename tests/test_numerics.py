@@ -71,6 +71,19 @@ class TestBinomCdfPrefix:
         assert np.allclose(np.diff(prefix), pmf[1:], atol=1e-14)
         assert prefix[0] == pytest.approx(pmf[0], abs=1e-15)
 
+    def test_monotone_in_trials_next_to_one(self):
+        # an upward pmf sum gives 0.9999999999999972 at 18 trials and
+        # 0.9999999999999997 at 19, although one more trial cannot raise it
+        at18 = binom_cdf_prefix(18, 0.0625, 15)[15]
+        at19 = binom_cdf_prefix(19, 0.0625, 15)[15]
+        assert at18 >= at19
+        assert at18 == pytest.approx(scipy.stats.binom.cdf(15, 18, 0.0625),
+                                     rel=1e-15, abs=0.0)
+
+    def test_prefix_past_the_trial_count_is_one(self):
+        assert np.array_equal(binom_cdf_prefix(3, 0.4, 6)[3:], np.ones(4))
+        assert np.array_equal(binom_cdf_prefix(0, 0.4, 2), np.ones(3))
+
 
 class TestPowerlawTailSum:
     def test_zeta_values(self):

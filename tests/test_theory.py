@@ -77,7 +77,7 @@ class TestBinomialPmf:
     def test_frozen_values(self):
         assert binomial_pmf(0, 0.3, 0) == 1.0
         assert binomial_pmf(2, 0.5, 1) == pytest.approx(0.5, abs=1e-15)
-        assert binomial_pmf(10, 0.1, 0) == pytest.approx(0.9**10, rel=1e-13)
+        assert binomial_pmf(10, 0.1, 0) == pytest.approx(0.9**10, rel=1e-13, abs=0.0)
 
     def test_vectorised(self):
         out = binomial_pmf(4, 0.5, np.arange(5))
@@ -108,7 +108,7 @@ class TestSurvivalCdf:
     def test_frozen_values(self):
         assert survival_cdf(0.3, 3, 5) == 1.0
         assert survival_cdf(0.5, 2, 2) == pytest.approx(0.5, abs=1e-15)
-        assert survival_cdf(0.1, 100, 2) == pytest.approx(0.9**99, rel=1e-13)
+        assert survival_cdf(0.1, 100, 2) == pytest.approx(0.9**99, rel=1e-13, abs=0.0)
 
     @given(st.floats(0.001, 1.0), st.integers(1, 400), st.integers(2, 30))
     @settings(max_examples=100, deadline=None)
@@ -152,8 +152,8 @@ class TestExactAcf:
     def test_exponential_frozen_values(self):
         curve = exact_acf_trader(
             TraderSpec(0.1, Exponential(decay_length=2.0)), [1, 2])
-        assert curve.values[0] == pytest.approx(EXACT_EXP_TAU1, rel=1e-10)
-        assert curve.values[1] == pytest.approx(EXACT_EXP_TAU2, rel=1e-10)
+        assert curve.values[0] == pytest.approx(EXACT_EXP_TAU1, rel=1e-10, abs=0.0)
+        assert curve.values[1] == pytest.approx(EXACT_EXP_TAU2, rel=1e-10, abs=0.0)
 
     def test_market_additivity(self):
         pop = Population([
@@ -343,18 +343,19 @@ class TestExponentialClosedForm:
         lags = np.array([1, 2, 7, 40])
         dense = exponential_acf_closed_form(0.1, 2.0, lags)
         assert np.allclose(lazy.values_at(lags), dense.values, rtol=1e-14)
-        assert lazy.values_at([1])[0] == pytest.approx(EXACT_EXP_TAU1, rel=1e-12)
+        assert lazy.values_at([1])[0] == pytest.approx(
+            EXACT_EXP_TAU1, rel=1e-12, abs=0.0)
         # geometric decay time: values fall by e over decay_time lags
         ratio = lazy.values_at([1 + int(lazy.decay_time)])[0] / lazy.values_at([1])[0]
-        assert ratio == pytest.approx(1 / math.e, rel=0.05)
+        assert ratio == pytest.approx(1 / math.e, rel=0.05, abs=0.0)
 
 
 class TestPowerLawAsymptote:
     def test_frozen_values(self):
         assert powerlaw_acf_asymptote(1.0, 1.5, [1]).values[0] == pytest.approx(
-            2.0 / 3.0, rel=1e-14)
+            2.0 / 3.0, rel=1e-14, abs=0.0)
         assert powerlaw_acf_asymptote(0.1, 1.5, [100]).values[0] == pytest.approx(
-            ASYM_100, rel=1e-13)
+            ASYM_100, rel=1e-13, abs=0.0)
 
     def test_converges_to_exact(self):
         trader = TraderSpec(0.1, DiscretePareto(tail_exponent=1.5))
@@ -397,22 +398,23 @@ class TestPowerLawAsymptote:
 
 class TestPrefactors:
     def test_frozen_values(self):
-        assert prefactor_hetero([1.0], 1.5) == pytest.approx(2 / 3, rel=1e-14)
+        assert prefactor_hetero([1.0], 1.5) == pytest.approx(2 / 3, rel=1e-14, abs=0.0)
         assert prefactor_hetero([0.9, 0.1], 1.5) == pytest.approx(
-            PREF_SK_9_1, rel=1e-13)
-        assert prefactor_homogeneous(1.0, 1, 1.5) == pytest.approx(2 / 3, rel=1e-14)
+            PREF_SK_9_1, rel=1e-13, abs=0.0)
+        assert prefactor_homogeneous(1.0, 1, 1.5) == pytest.approx(
+            2 / 3, rel=1e-14, abs=0.0)
         assert prefactor_homogeneous(1.0, 10, 1.5) == pytest.approx(
-            PREF_LMF_10, rel=1e-13)
+            PREF_LMF_10, rel=1e-13, abs=0.0)
         assert prefactor_homogeneous(0.8, 10, 1.5) == pytest.approx(
-            PREF_LMF_08_10, rel=1e-13)
+            PREF_LMF_08_10, rel=1e-13, abs=0.0)
         assert superposition_prefactor([1.0], 1.5) == pytest.approx(
-            GAMMA_15, rel=1e-13)
+            GAMMA_15, rel=1e-13, abs=0.0)
 
     def test_homogeneous_equals_hetero_on_equal_vectors(self):
         for m in (1, 2, 7, 50):
             lam = np.full(m, 0.8 / m)
             assert prefactor_hetero(lam, 1.3) == pytest.approx(
-                prefactor_homogeneous(0.8, m, 1.3), rel=1e-12)
+                prefactor_homogeneous(0.8, m, 1.3), rel=1e-12, abs=0.0)
 
     @given(
         st.integers(1, 60),
@@ -432,15 +434,16 @@ class TestPrefactors:
         assert report.q0_hetero <= report.q0_upper * (1 + 1e-12)
         assert report.slack_lower >= -1e-15 and report.slack_upper >= -1e-15
         target = alpha * math.gamma(alpha)
-        assert report.q0_over_c0 == pytest.approx(target, rel=1e-12)
+        assert report.q0_over_c0 == pytest.approx(target, rel=1e-12, abs=0.0)
         assert 1.0 <= report.q0_over_c0 <= 2.0
 
     def test_equality_at_homogeneous(self):
         report = prefactor_bounds(np.full(10, 0.08), 1.5)
         assert report.is_homogeneous_equality
-        assert report.c0_homogeneous == pytest.approx(report.c0_hetero, rel=1e-12)
+        assert report.c0_homogeneous == pytest.approx(
+            report.c0_hetero, rel=1e-12, abs=0.0)
         single = prefactor_bounds(np.array([0.8]), 1.5)
-        assert single.c0_hetero == pytest.approx(single.c0_upper, rel=1e-12)
+        assert single.c0_hetero == pytest.approx(single.c0_upper, rel=1e-12, abs=0.0)
 
     @given(
         st.lists(st.floats(0.001, 1.0), min_size=1, max_size=30),
@@ -455,10 +458,10 @@ class TestPrefactors:
     def test_superposition_variants(self):
         lam = np.full(100, 0.01)
         assert superposition_prefactor(lam, 1.5) == pytest.approx(
-            superposition_prefactor_homogeneous(1.0, 100, 1.5), rel=1e-12)
+            superposition_prefactor_homogeneous(1.0, 100, 1.5), rel=1e-12, abs=0.0)
         assert superposition_prefactor(lam, 1.5) <= superposition_upper(1.0, 1.5)
         assert prefactor_upper(0.8, 1.5) == pytest.approx(
-            0.8**1.5 / 1.5, rel=1e-13)
+            0.8**1.5 / 1.5, rel=1e-13, abs=0.0)
 
     def test_alpha_domain_errors(self):
         with pytest.raises(DomainError):
@@ -472,12 +475,13 @@ class TestPrefactors:
 class TestMinSplitterCount:
     def test_frozen_example(self):
         assert min_splitter_count(0.8, 1.5, 0.01) == pytest.approx(
-            MIN_COUNT_EXAMPLE, rel=1e-12)
+            MIN_COUNT_EXAMPLE, rel=1e-12, abs=0.0)
 
     def test_inverse_identity(self):
         for m in (3, 50, 400):
             c0 = prefactor_homogeneous(0.8, m, 1.5)
-            assert min_splitter_count(0.8, 1.5, c0) == pytest.approx(m, rel=1e-9)
+            assert min_splitter_count(0.8, 1.5, c0) == pytest.approx(
+                m, rel=1e-9, abs=0.0)
 
     @given(
         st.integers(1, 40),
