@@ -6,95 +6,31 @@ orders.  This package simulates the resulting sign series at scale, and
 evaluates the exact stationary sign autocorrelation of the same process
 (per trader and market-wide), its closed forms and long-lag asymptotes,
 prefactor bounds, and a calibration bound on the number of active splitters.
+
+The names below are the documented API (README.md, demos/); everything else
+is imported from the submodule that defines it (``lmfsim.engine``,
+``lmfsim.theory``, ...).
 """
 
-from .chain_oracle import ChainOracle, build_oracle, oracle_acf_small_chain
-from .config import ExperimentConfig, GroupConfig, load_config, splitter_ids
-from .engine import (
-    INIT_MODES,
-    MarketState,
-    Population,
-    SimulationOutput,
-    TraderSpec,
-    init_state,
-    simulate,
-    step,
-)
-from .errors import (
-    ConfigError,
-    DegenerateExponent,
-    DomainError,
-    EmptyLog,
-    InsufficientPoints,
-    InvalidExponent,
-    InvalidSupport,
-    LmfsimError,
-    NonconvergentMean,
-    SeriesTooShort,
-    StateSpaceTooLarge,
-)
-from .laws import (
-    Degenerate,
-    DiscretePareto,
-    Exponential,
-    MetaorderLaw,
-    Tabulated,
-    allocate_decay_lengths,
-    allocate_intensities,
-    intensity_rescale_factor,
-    law_from_config,
-)
-from .numerics import AliasTable, geometric_lags, powerlaw_tail_sum
-from .runner import (
-    calibrate_curve,
-    read_acf_csv,
-    replica_seed,
-    run_calibrate,
-    run_experiment,
-    run_replicated,
-    run_simulate,
-    theory_curves,
-    write_acf_csv,
-    write_theory_csv,
-)
-from .stats import (
-    EmpiricalDistribution,
-    PowerLawFit,
-    acf_estimate,
-    aggregate_metaorder_distribution,
-    aggregated_weights,
-    average_curves,
-    fit_acf_powerlaw,
-    fit_distribution_tail,
-    fit_powerlaw,
-    log_bin_curve,
-    log_bin_density,
-)
+from .chain_oracle import oracle_acf_small_chain
+from .engine import Population, TraderSpec, simulate
+from .errors import ConfigError, DomainError, LmfsimError
+from .laws import Degenerate, DiscretePareto, Exponential, Tabulated
+from .runner import calibrate_curve, replica_seed, run_experiment, run_simulate
+from .stats import acf_estimate, average_curves, fit_acf_powerlaw
 from .theory import (
-    AcfCurve,
-    ExponentialAcf,
-    PrefactorReport,
-    ValidityWarning,
-    default_lags,
+    binomial_pmf,
     exact_acf_market,
     exact_acf_trader,
-    exponential_acf,
     exponential_acf_closed_form,
     hetero_acf_asymptote,
     heuristic_acf,
     homogeneous_market_acf,
-    intensity_superposition_exponent,
     min_splitter_count,
     powerlaw_acf_asymptote,
     prefactor_bounds,
     prefactor_hetero,
     prefactor_homogeneous,
-    prefactor_upper,
-    binomial_pmf,
-    superposition_prefactor,
-    superposition_prefactor_homogeneous,
-    superposition_upper,
-    survival_cdf,
 )
 
 __version__ = "0.1.0"
@@ -103,93 +39,39 @@ __all__ = [
     "__version__",
     # errors
     "LmfsimError",
-    "InvalidExponent",
-    "InvalidSupport",
-    "NonconvergentMean",
-    "DomainError",
-    "DegenerateExponent",
-    "StateSpaceTooLarge",
-    "SeriesTooShort",
-    "EmptyLog",
-    "InsufficientPoints",
     "ConfigError",
+    "DomainError",
     # laws
-    "MetaorderLaw",
     "Degenerate",
     "Exponential",
     "DiscretePareto",
     "Tabulated",
-    "law_from_config",
-    "allocate_decay_lengths",
-    "allocate_intensities",
-    "intensity_rescale_factor",
     # engine
     "TraderSpec",
     "Population",
-    "MarketState",
-    "SimulationOutput",
     "simulate",
-    "step",
-    "init_state",
-    "INIT_MODES",
     # theory
-    "AcfCurve",
-    "ValidityWarning",
-    "ExponentialAcf",
-    "PrefactorReport",
     "binomial_pmf",
-    "survival_cdf",
     "exact_acf_trader",
     "exact_acf_market",
     "homogeneous_market_acf",
     "heuristic_acf",
-    "exponential_acf",
     "exponential_acf_closed_form",
     "powerlaw_acf_asymptote",
     "hetero_acf_asymptote",
     "prefactor_hetero",
     "prefactor_homogeneous",
-    "prefactor_upper",
-    "superposition_prefactor",
-    "superposition_prefactor_homogeneous",
-    "superposition_upper",
     "prefactor_bounds",
     "min_splitter_count",
-    "intensity_superposition_exponent",
-    "default_lags",
     # oracle
-    "ChainOracle",
-    "build_oracle",
     "oracle_acf_small_chain",
     # stats
     "acf_estimate",
     "average_curves",
-    "EmpiricalDistribution",
-    "aggregate_metaorder_distribution",
-    "aggregated_weights",
-    "PowerLawFit",
-    "fit_powerlaw",
     "fit_acf_powerlaw",
-    "fit_distribution_tail",
-    "log_bin_curve",
-    "log_bin_density",
-    # numerics
-    "AliasTable",
-    "powerlaw_tail_sum",
-    "geometric_lags",
-    # config and runs
-    "GroupConfig",
-    "ExperimentConfig",
-    "load_config",
-    "splitter_ids",
+    # runs
     "replica_seed",
     "run_simulate",
-    "run_replicated",
-    "theory_curves",
     "run_experiment",
     "calibrate_curve",
-    "run_calibrate",
-    "write_acf_csv",
-    "read_acf_csv",
-    "write_theory_csv",
 ]

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Population, TraderSpec
+from .engine import INIT_MODES, Population, TraderSpec
 from .errors import ConfigError, LmfsimError
 from .laws import (
     Exponential,
@@ -53,6 +53,15 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _number(kind, value, what: str):
+    """``kind(value)``, with a malformed value reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
+
+
 def _known_keys(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
@@ -72,7 +81,7 @@ class GroupConfig:
         _known_keys(d, {"count", "intensity", "law"}, "group")
         for key in ("count", "intensity", "law"):
             _require(key in d, f"group is missing {key!r}")
-        count = int(d["count"])
+        count = _number(int, d["count"], "group count")
         _require(count >= 1, f"group count must be >= 1, got {count}")
         intensity = dict(d["intensity"])
         rule = intensity.get("rule")
@@ -83,11 +92,12 @@ class GroupConfig:
         if rule == "equal":
             _known_keys(intensity, {"rule", "mass"}, "intensity")
             _require("mass" in intensity, "'equal' intensity needs a mass")
+            numbers = [intensity["mass"]]
         elif rule == "explicit":
             _known_keys(intensity, {"rule", "values"}, "intensity")
-            values = intensity.get("values")
+            numbers = intensity.get("values")
             _require(
-                isinstance(values, (list, tuple)) and len(values) == count,
+                isinstance(numbers, (list, tuple)) and len(numbers) == count,
                 "'explicit' intensity needs one value per trader",
             )
         else:
@@ -96,6 +106,9 @@ class GroupConfig:
             )
             for key in ("mass", "beta", "lambda_cut"):
                 _require(key in intensity, f"'pareto' intensity needs {key!r}")
+            numbers = [intensity[k] for k in ("mass", "beta", "lambda_cut")]
+        for x in numbers:
+            _number(float, x, f"{rule!r} intensity value")
         _require(isinstance(d["law"], dict), "law must be an object")
         return cls(count=count, intensity=intensity, law=dict(d["law"]))
 
@@ -104,7 +117,7 @@ class GroupConfig:
 
     def mass(self) -> float:
         if self.intensity["rule"] == "explicit":
-            return float(np.sum(self.intensity["values"]))
+            return float(self.intensities().sum())
         return float(self.intensity["mass"])
 
     def intensities(self) -> np.ndarray:
@@ -130,7 +143,8 @@ class GroupConfig:
                 rule.get("rule") == "pareto" and "theta" in rule,
                 "decay_length rule must be {'rule': 'pareto', 'theta': ...}",
             )
-            lengths = allocate_decay_lengths(self.count, float(rule["theta"]))
+            theta = _number(float, rule["theta"], "decay_length theta")
+            lengths = allocate_decay_lengths(self.count, theta)
             return [Exponential(decay_length=float(x)) for x in lengths]
         law = law_from_config(law_cfg)
         return [law] * self.count
@@ -164,11 +178,11 @@ class ExperimentConfig:
         for key in ("steps", "seed", "max_lag", "groups"):
             _require(key in d, f"config is missing {key!r}")
         cfg = cls(
-            steps=int(d["steps"]),
-            seed=int(d["seed"]),
-            max_lag=int(d["max_lag"]),
+            steps=_number(int, d["steps"], "steps"),
+            seed=_number(int, d["seed"], "seed"),
+            max_lag=_number(int, d["max_lag"], "max_lag"),
             groups=tuple(GroupConfig.from_dict(g) for g in d["groups"]),
-            replicas=int(d.get("replicas", 1)),
+            replicas=_number(int, d.get("replicas", 1), "replicas"),
             init_mode=str(d.get("init_mode", "stationary")),
             collect_lengths=str(d.get("collect_lengths", "splitters")),
             save_signs=bool(d.get("save_signs", False)),
@@ -189,8 +203,8 @@ class ExperimentConfig:
         )
         _require(len(self.groups) >= 1, "config needs at least one group")
         _require(
-            self.init_mode in ("stationary", "fresh_draw"),
-            f"init_mode must be stationary or fresh_draw, got {self.init_mode!r}",
+            self.init_mode in INIT_MODES,
+            f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}",
         )
         _require(
             self.collect_lengths in _COLLECT_MODES,

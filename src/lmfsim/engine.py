@@ -14,7 +14,6 @@ all traders in one batch.  ``np.repeat`` of the run table gives the chunk's
 signs grouped by trader, and one scatter through the stable sort of the
 selections puts them back in market order.  This is exactly the serial
 dynamics because a trader's state only changes at its own selections.
-``step`` exposes the single-transition version for reference and unit tests.
 
 Random streams.  The seed (an int, a ``SeedSequence``, or a ``Generator``
 from which four 64-bit words are drawn) gives a ``SeedSequence`` with three
@@ -65,7 +64,6 @@ __all__ = [
     "MarketState",
     "SimulationOutput",
     "init_state",
-    "step",
     "simulate",
 ]
 
@@ -113,10 +111,6 @@ class Population:
     @property
     def size(self) -> int:
         return len(self.traders)
-
-    @property
-    def laws(self) -> list[MetaorderLaw]:
-        return [t.law for t in self.traders]
 
     def describe(self) -> dict:
         return {
@@ -190,14 +184,6 @@ class MarketState:
     remaining: np.ndarray  # int64, executions left in the current metaorder
     progress: np.ndarray   # int64, executions already absorbed by it
 
-    def copy(self) -> "MarketState":
-        return MarketState(
-            self.market_sign,
-            self.signs.copy(),
-            self.remaining.copy(),
-            self.progress.copy(),
-        )
-
 
 @dataclass
 class SimulationOutput:
@@ -206,10 +192,8 @@ class SimulationOutput:
     signs: np.ndarray | None
     metaorder_log: list[np.ndarray]
     selection_counts: np.ndarray
-    final_progress: np.ndarray
     final_state: MarketState
     steps: int
-    seed: int | None
     config_digest: str
     burn_in: int = 0
     lengths_collected: np.ndarray = field(default_factory=lambda: np.array([], bool))
@@ -239,28 +223,6 @@ def init_state(
         remaining=remaining,
         progress=np.zeros(m, dtype=np.int64),
     )
-
-
-def step(
-    state: MarketState,
-    population: Population,
-    sampler: AliasTable,
-    rng: np.random.Generator,
-):
-    """Advance one step in place; returns (trader, emitted sign, completed length or None)."""
-    i = int(sampler.draw(rng))
-    s = int(state.signs[i])
-    state.market_sign = s
-    completed = None
-    if state.remaining[i] > 1:
-        state.remaining[i] -= 1
-        state.progress[i] += 1
-    else:
-        completed = int(state.progress[i]) + 1
-        state.remaining[i] = int(population.traders[i].law.sample_length(rng))
-        state.progress[i] = 0
-        state.signs[i] = int(rng.integers(0, 2)) * 2 - 1
-    return i, s, completed
 
 
 def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
@@ -499,7 +461,7 @@ def simulate(
     init_mode : {"stationary", "fresh_draw"}
     burn_in : int, optional
         Discarded warm-up steps.  Defaults to 0 for stationary starts and to
-        ``ceil(10 / min intensity)`` for fresh draws.
+        ``ceil(10 / min positive intensity)`` for fresh draws.
     collect_lengths : bool or iterable of trader indices
         Which traders append completed metaorders to the log.
     keep_signs : bool
@@ -511,16 +473,17 @@ def simulate(
         raise DomainError(f"steps must be >= 1, got {steps}")
     if chunk_size < 1:
         raise ConfigError("chunk_size must be positive")
-    seed_repr = seed if isinstance(seed, (int, np.integer)) else None
     select_rng, init_rng, key = _streams(seed)
 
     m = population.size
     state0 = init_state(population, init_rng, init_mode)
     if burn_in is None:
+        # a zero-intensity trader is frozen and needs no warm-up
+        lam = population.intensities
         burn_in = (
             0
             if init_mode == "stationary"
-            else int(math.ceil(10.0 / float(population.intensities.min())))
+            else int(math.ceil(10.0 / float(lam[lam > 0.0].min())))
         )
     if burn_in < 0:
         raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
@@ -593,10 +556,8 @@ def simulate(
         signs=signs_out,
         metaorder_log=log,
         selection_counts=selection_counts,
-        final_progress=final_state.progress.copy(),
         final_state=final_state,
         steps=steps,
-        seed=int(seed_repr) if seed_repr is not None else None,
         config_digest=hashlib.sha256(payload.encode()).hexdigest(),
         burn_in=burn_in,
         lengths_collected=collect_mask,

@@ -9,10 +9,10 @@ distribution
     P_st(R) = ccdf(R) / mean_length,   R = 1, 2, ...
 
 Each law writes its two inverse CDFs once, vectorised over uniforms and over
-a parameter array (``lengths_from_uniform``, ``remaining_from_uniform``);
-the ``sample_*`` methods and the engine's batched draws both call them.
-Laws with equal ``batch_key()`` share one kernel and differ only in
-``param``, so the engine draws a whole population kind by kind.
+a parameter array (``lengths_from_uniform``, ``remaining_from_uniform``),
+which the engine's batched draws call.  Laws with equal ``batch_key()``
+share one kernel and differ only in ``param``, so the engine draws a whole
+population kind by kind.
 
 All laws are immutable after construction.
 """
@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     InvalidExponent,
     InvalidSupport,
+    LmfsimError,
     NonconvergentMean,
 )
 from .numerics import powerlaw_tail_sum
@@ -98,14 +99,6 @@ class MetaorderLaw:
         """Inverse CDF of the stationary remaining law P_st, as above."""
         raise NotImplementedError
 
-    def sample_length(self, rng: np.random.Generator, size=None):
-        """Draw metaorder lengths, one uniform each."""
-        return self._draw(self.lengths_from_uniform, rng, size)
-
-    def sample_stationary_remaining(self, rng: np.random.Generator, size=None):
-        """Draw remaining lengths from the size-biased stationary law."""
-        return self._draw(self.remaining_from_uniform, rng, size)
-
     def stationary_remaining_pdf(self, remaining):
         """P_st(R) = ccdf(R) / mean_length for integer ``remaining >= 1``."""
         rem = _check_lengths(remaining)
@@ -113,11 +106,6 @@ class MetaorderLaw:
 
     def as_config(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def _draw(kernel, rng, size):
-        draw = kernel(rng.random(size=1 if size is None else size))
-        return int(draw[0]) if size is None else draw
 
 
 @dataclass(frozen=True)
@@ -409,17 +397,24 @@ def law_from_config(config: dict) -> MetaorderLaw:
     if not isinstance(config, dict) or "kind" not in config:
         raise DomainError("law config must be a dict with a 'kind' field")
     kind = config["kind"]
-    if kind == "degenerate":
-        return Degenerate()
-    if kind == "exponential":
-        return Exponential(decay_length=float(config["decay_length"]))
-    if kind == "pareto":
-        return DiscretePareto(tail_exponent=float(config["alpha"]))
-    if kind == "tabulated":
-        atoms = config["pmf"]
-        support = [a[0] for a in atoms]
-        probs = [a[1] for a in atoms]
-        return Tabulated(support=np.asarray(support), probs=np.asarray(probs))
+    try:
+        if kind == "degenerate":
+            return Degenerate()
+        if kind == "exponential":
+            return Exponential(decay_length=float(config["decay_length"]))
+        if kind == "pareto":
+            return DiscretePareto(tail_exponent=float(config["alpha"]))
+        if kind == "tabulated":
+            atoms = config["pmf"]
+            support = [a[0] for a in atoms]
+            probs = [a[1] for a in atoms]
+            return Tabulated(support=np.asarray(support), probs=np.asarray(probs))
+    except LmfsimError:  # the law's own check, already typed
+        raise
+    except KeyError as exc:
+        raise DomainError(f"{kind!r} law config is missing {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DomainError(f"malformed {kind!r} law config {config}: {exc}") from exc
     raise DomainError(f"unknown law kind {kind!r}")
 
 

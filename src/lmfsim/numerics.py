@@ -9,17 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, gammaln
+from scipy.special import gammaln
 
 from .errors import DomainError, NonconvergentMean
 
-__all__ = [
-    "log_binom_pmf",
-    "binom_cdf_prefix",
-    "powerlaw_tail_sum",
-    "AliasTable",
-    "geometric_lags",
-]
+__all__ = ["log_binom_pmf", "powerlaw_tail_sum", "AliasTable"]
 
 
 def log_binom_pmf(t: int, p: float, n):
@@ -66,23 +60,6 @@ def log_binom_pmf(t: int, p: float, n):
     return float(out[0]) if scalar else out
 
 
-def binom_cdf_prefix(t: int, p: float, k_max: int) -> np.ndarray:
-    """Binomial CDF values ``P(N <= k)`` for ``k = 0 .. k_max``, ``N ~ Binomial(t, p)``.
-
-    Each value is the regularised incomplete beta function
-    (``scipy.special.bdtr``), so values next to 1 are not tens of ulps low,
-    as an upward sum of the pmf is, and stay non-increasing in ``t``.
-    """
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
-    if t < 0:
-        raise DomainError(f"trial count must be >= 0, got {t}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p}")
-    # bdtr is nan past k = t, where the CDF is 1
-    return bdtr(np.minimum(np.arange(k_max + 1), t), t, p)
-
-
 def powerlaw_tail_sum(alpha: float, start: int | float, rel_tol: float = 1e-12) -> float:
     """Sum of ``k**(-alpha)`` over integers ``k >= start``, for ``alpha > 1``.
 
@@ -122,7 +99,11 @@ def powerlaw_tail_sum(alpha: float, start: int | float, rel_tol: float = 1e-12) 
 
 @dataclass(frozen=True)
 class AliasTable:
-    """Walker alias table for O(1) draws from a finite categorical law."""
+    """Walker alias table of a finite categorical law, for O(1) draws.
+
+    A draw picks column i uniformly, keeps it with probability ``prob[i]``
+    and takes ``alias[i]`` otherwise; ``simulate`` draws this way.
+    """
 
     prob: np.ndarray
     alias: np.ndarray
@@ -155,24 +136,3 @@ class AliasTable:
                 large.append(l)
         # leftovers are 1.0 up to rounding
         return cls(prob=prob, alias=alias)
-
-    def draw(self, rng: np.random.Generator, size=None):
-        n = self.prob.size
-        idx = rng.integers(0, n, size=size)
-        u = rng.random(size=size)
-        return np.where(u < self.prob[idx], idx, self.alias[idx])
-
-
-def geometric_lags(max_lag: int, ratio: float = 1.25) -> np.ndarray:
-    """Deduplicated integer lag grid 1, 2, ... growing by ``ratio``, ending at ``max_lag``."""
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    if ratio <= 1.0:
-        raise DomainError(f"ratio must exceed 1, got {ratio}")
-    lags = [max_lag]
-    x = 1.0
-    while x <= max_lag:
-        lags.append(int(round(x)))
-        x *= ratio
-    out = np.unique(np.asarray(lags, dtype=np.int64))
-    return out[out <= max_lag]

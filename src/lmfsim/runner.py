@@ -388,6 +388,12 @@ def run_calibrate(acf_path, mu: float = 0.8, gamma: float | None = None,
 # ---------------------------------------------------------------------------
 
 
+# Default base seed of each seeded preset; ``run_experiment(base_seed=...)``
+# (``lmfsim experiment --seed``) overrides it.
+PRESET_SEEDS = {"fig3": 11_000, "fig4": 12_000, "fig5": 13_000, "fig7": 14_000,
+                "bounds": 15_000}
+
+
 def _case_config(label, seed, steps, replicas, max_lag, groups, **kw):
     return ExperimentConfig.from_dict(
         {
@@ -402,7 +408,7 @@ def _case_config(label, seed, steps, replicas, max_lag, groups, **kw):
     )
 
 
-def homogeneous_exponential_cases(base_seed: int = 11_000):
+def homogeneous_exponential_cases(base_seed: int = PRESET_SEEDS["fig3"]):
     """Homogeneous exponential market: three decay lengths, closed-form check."""
     cases = []
     for j, decay in enumerate((2, 5, 10)):
@@ -429,7 +435,7 @@ def homogeneous_exponential_cases(base_seed: int = 11_000):
     return cases
 
 
-def pareto_splitter_cases(base_seed: int = 12_000):
+def pareto_splitter_cases(base_seed: int = PRESET_SEEDS["fig4"]):
     """Pareto splitters plus noise traders: quantitative and qualitative cells."""
     quantitative = []
     for j, mu in enumerate((1.0, 0.85, 0.7)):
@@ -491,7 +497,7 @@ def pareto_splitter_cases(base_seed: int = 12_000):
     return quantitative, qualitative
 
 
-def decay_superposition_cases(base_seed: int = 13_000):
+def decay_superposition_cases(base_seed: int = PRESET_SEEDS["fig5"]):
     """1000 equal-intensity exponential splitters with allocated decay lengths.
 
     The superposition scaling regime opens at lags around M (each trader is
@@ -531,7 +537,7 @@ def decay_superposition_cases(base_seed: int = 13_000):
     return cases
 
 
-def intensity_superposition_cases(base_seed: int = 14_000):
+def intensity_superposition_cases(base_seed: int = PRESET_SEEDS["fig7"]):
     """1000 exponential splitters with power-law intensity profiles.
 
     Normalising the intensities to unit total mass stretches every trader
@@ -647,9 +653,8 @@ def _run_case(out_dir: Path, cfg):
     return res["population"], res, theory[0], entry
 
 
-def _experiment_fig3(out_dir: Path, base_seed=None) -> dict:
-    cases = (homogeneous_exponential_cases() if base_seed is None
-             else homogeneous_exponential_cases(base_seed))
+def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
+    cases = homogeneous_exponential_cases(base_seed)
     report = {"name": "fig3", "cases": []}
     for case in cases:
         cfg = case["config"]
@@ -693,11 +698,8 @@ def _fig4_entry(out_dir: Path, case) -> dict:
     return entry
 
 
-def _experiment_fig4(out_dir: Path, base_seed=None) -> dict:
-    quantitative, qualitative = (
-        pareto_splitter_cases() if base_seed is None
-        else pareto_splitter_cases(base_seed)
-    )
+def _experiment_fig4(out_dir: Path, base_seed: int) -> dict:
+    quantitative, qualitative = pareto_splitter_cases(base_seed)
     report = {"name": "fig4", "cases": [], "qualitative": []}
     for case in quantitative:
         report["cases"].append(_fig4_entry(out_dir, case))
@@ -706,9 +708,8 @@ def _experiment_fig4(out_dir: Path, base_seed=None) -> dict:
     return report
 
 
-def _experiment_fig5(out_dir: Path, base_seed=None) -> dict:
-    cases = (decay_superposition_cases() if base_seed is None
-             else decay_superposition_cases(base_seed))
+def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
+    cases = decay_superposition_cases(base_seed)
     report = {"name": "fig5", "cases": []}
     for case in cases:
         cfg = case["config"]
@@ -742,9 +743,8 @@ def _experiment_fig5(out_dir: Path, base_seed=None) -> dict:
     return report
 
 
-def _experiment_fig7(out_dir: Path, base_seed=None) -> dict:
-    cases = (intensity_superposition_cases() if base_seed is None
-             else intensity_superposition_cases(base_seed))
+def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
+    cases = intensity_superposition_cases(base_seed)
     report = {"name": "fig7", "cases": []}
     for case in cases:
         cfg = case["config"]
@@ -768,8 +768,8 @@ def _experiment_fig7(out_dir: Path, base_seed=None) -> dict:
     return report
 
 
-def _experiment_bounds(out_dir: Path, base_seed=None) -> dict:
-    rng = np.random.default_rng(15_000 if base_seed is None else base_seed)
+def _experiment_bounds(out_dir: Path, base_seed: int) -> dict:
+    rng = np.random.default_rng(base_seed)
     alphas = (1.1, 1.3, 1.5, 1.7, 1.9)
     n_vectors = 10_000
     violations = 0
@@ -854,6 +854,8 @@ def run_experiment(name: str, out_dir, base_seed: int | None = None) -> dict:
         )
     out = Path(out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
+    if base_seed is None:
+        base_seed = PRESET_SEEDS.get(name)
     report = EXPERIMENTS[name](out, base_seed)
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return report

@@ -41,6 +41,10 @@ __all__ = [
 _MIN_FFT = 1 << 14
 _GROUP_SAMPLES = 1 << 20
 
+# Log bins per decade and the fewest usable points of the power-law fits.
+_BINS_PER_DECADE = 8
+_MIN_POINTS = 5
+
 
 def _as_signs(series) -> np.ndarray:
     if isinstance(series, SimulationOutput):
@@ -229,11 +233,12 @@ class PowerLawFit:
     window: tuple
 
 
-def fit_powerlaw(x, y, window=None, min_points: int = 5) -> PowerLawFit:
+def fit_powerlaw(x, y, window=None) -> PowerLawFit:
     """OLS fit of log y on log x inside a window, excluding non-positive values.
 
     The returned ``exponent`` is the decay rate (positive for falling
-    curves); ``prefactor`` is exp(intercept).
+    curves); ``prefactor`` is exp(intercept).  Raises InsufficientPoints
+    with fewer than ``_MIN_POINTS`` (5) usable points.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -245,10 +250,10 @@ def fit_powerlaw(x, y, window=None, min_points: int = 5) -> PowerLawFit:
     inside = (x >= lo) & (x <= hi)
     usable = inside & (y > 0.0) & (x > 0.0)
     n_excluded = int(inside.sum() - usable.sum())
-    if usable.sum() < min_points:
+    if usable.sum() < _MIN_POINTS:
         raise InsufficientPoints(
             f"only {int(usable.sum())} usable points in window [{lo}, {hi}], "
-            f"need {min_points}"
+            f"need {_MIN_POINTS}"
         )
     lx = np.log(x[usable])
     ly = np.log(y[usable])
@@ -264,7 +269,16 @@ def fit_powerlaw(x, y, window=None, min_points: int = 5) -> PowerLawFit:
     )
 
 
-def log_bin_curve(x, y, bins_per_decade: int = 8, window=None):
+def _log_bins(x: np.ndarray, bins_per_decade: int):
+    """Geometric bin edges spanning ``x`` and the bin index of each ``x``."""
+    lo, hi = x.min(), x.max()
+    n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * bins_per_decade)))
+    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
+    edges[-1] *= 1.0 + 1e-12
+    return edges, np.digitize(x, edges) - 1
+
+
+def log_bin_curve(x, y, bins_per_decade: int = _BINS_PER_DECADE, window=None):
     """Average a curve inside geometric bins; returns (x_centre, y_mean, n_in_bin).
 
     Bin centres are the geometric means of the member x values, y is their
@@ -277,13 +291,9 @@ def log_bin_curve(x, y, bins_per_decade: int = 8, window=None):
         x, y = x[keep], y[keep]
     if x.size == 0:
         raise InsufficientPoints("no points to bin")
-    lo, hi = x.min(), x.max()
-    n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * bins_per_decade)))
-    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
-    edges[-1] *= 1.0 + 1e-12
-    which = np.digitize(x, edges) - 1
+    edges, which = _log_bins(x, bins_per_decade)
     xs, ys, ns = [], [], []
-    for b in range(n_bins):
+    for b in range(edges.size - 1):
         sel = which == b
         if not np.any(sel):
             continue
@@ -293,8 +303,8 @@ def log_bin_curve(x, y, bins_per_decade: int = 8, window=None):
     return np.array(xs), np.array(ys), np.array(ns)
 
 
-def log_bin_density(dist: EmpiricalDistribution, bins_per_decade: int = 8,
-                    window=None):
+def log_bin_density(dist: EmpiricalDistribution,
+                    bins_per_decade: int = _BINS_PER_DECADE, window=None):
     """Log-binned probability density of an integer distribution.
 
     Each bin reports (total count in bin) / (total * number of integers in
@@ -307,14 +317,11 @@ def log_bin_density(dist: EmpiricalDistribution, bins_per_decade: int = 8,
         support, counts = support[keep], counts[keep]
     if support.size == 0:
         raise InsufficientPoints("no support points to bin")
-    lo, hi = support.min(), support.max()
-    n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * bins_per_decade)))
-    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
-    edges[-1] *= 1.0 + 1e-12
-    which = np.digitize(support, edges) - 1
+    edges, which = _log_bins(support, bins_per_decade)
+    hi = support.max()
     xs, dens = [], []
     total = dist.total
-    for b in range(n_bins):
+    for b in range(edges.size - 1):
         sel = which == b
         if not np.any(sel):
             continue
@@ -326,16 +333,13 @@ def log_bin_density(dist: EmpiricalDistribution, bins_per_decade: int = 8,
     return np.array(xs), np.array(dens)
 
 
-def fit_acf_powerlaw(curve: AcfCurve, window, bins_per_decade: int = 8,
-                     min_points: int = 5) -> PowerLawFit:
+def fit_acf_powerlaw(curve: AcfCurve, window) -> PowerLawFit:
     """Log-bin an ACF curve inside a lag window, then fit the power law."""
-    x, y, _ = log_bin_curve(curve.lags, curve.values, bins_per_decade, window)
-    return fit_powerlaw(x, y, window=None, min_points=min_points)
+    x, y, _ = log_bin_curve(curve.lags, curve.values, window=window)
+    return fit_powerlaw(x, y)
 
 
-def fit_distribution_tail(dist: EmpiricalDistribution, window,
-                          bins_per_decade: int = 8,
-                          min_points: int = 5) -> PowerLawFit:
+def fit_distribution_tail(dist: EmpiricalDistribution, window) -> PowerLawFit:
     """Log-bin the PMF of a length distribution in a window, then fit its decay."""
-    x, dens = log_bin_density(dist, bins_per_decade, window)
-    return fit_powerlaw(x, dens, window=None, min_points=min_points)
+    x, dens = log_bin_density(dist, window=window)
+    return fit_powerlaw(x, dens)

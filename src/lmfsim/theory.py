@@ -37,18 +37,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import bdtr, gammaln
+from scipy.special import gammaln
 
 from .engine import Population, TraderSpec
 from .errors import DegenerateExponent, DomainError, LmfsimError
 from .laws import Degenerate, DiscretePareto, Exponential, MetaorderLaw
-from .numerics import geometric_lags, log_binom_pmf
+from .numerics import log_binom_pmf
 
 __all__ = [
     "AcfCurve",
     "ValidityWarning",
     "binomial_pmf",
-    "survival_cdf",
     "exact_acf_trader",
     "exact_acf_market",
     "homogeneous_market_acf",
@@ -114,8 +113,22 @@ class AcfCurve:
 
 
 def default_lags(max_lag: int, ratio: float = 1.25) -> np.ndarray:
-    """Default geometric lag grid used by the theory evaluators."""
-    return geometric_lags(max_lag, ratio)
+    """Default lag grid of the theory evaluators.
+
+    Deduplicated integers 1, 2, ... growing geometrically by ``ratio`` and
+    ending at ``max_lag``.
+    """
+    if max_lag < 1:
+        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    if ratio <= 1.0:
+        raise DomainError(f"ratio must exceed 1, got {ratio}")
+    lags = [max_lag]
+    x = 1.0
+    while x <= max_lag:
+        lags.append(int(round(x)))
+        x *= ratio
+    out = np.unique(np.asarray(lags, dtype=np.int64))
+    return out[out <= max_lag]
 
 
 def _check_intensity(lam: float):
@@ -137,24 +150,6 @@ def binomial_pmf(t: int, lam: float, n) -> np.ndarray | float:
     if n_arr.size and (n_arr.min() < 0 or n_arr.max() > t):
         raise DomainError(f"counts must lie in [0, {t}]")
     return np.exp(log_binom_pmf(t, lam, n_arr))
-
-
-def survival_cdf(lam: float, tau: int, r0: int) -> float:
-    """P(selection count over tau steps <= r0 - 1): metaorder survival probability.
-
-    Equals 1 exactly when tau <= r0 - 1 (too few steps to exhaust the
-    remaining r0 executions) and the shifted binomial CDF otherwise, taken
-    from the regularised incomplete beta function, which keeps values near 1
-    within an ulp and so monotone in tau and r0.
-    """
-    _check_intensity(lam)
-    if tau < 1:
-        raise DomainError(f"lag must be >= 1, got {tau}")
-    if r0 < 2:
-        raise DomainError(f"remaining count must be >= 2, got {r0}")
-    if tau <= r0 - 1:
-        return 1.0
-    return float(bdtr(r0 - 2, tau - 1, lam))
 
 
 def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.ndarray:

@@ -1,0 +1,67 @@
+"""The public surface: ``lmfsim.__all__`` and the imports the docs rely on."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import lmfsim
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# What README.md, demos/, bench/ and tests/test_acceptance.py use, plus the
+# error roots and the version.
+DOCUMENTED = {
+    "__version__",
+    "LmfsimError", "ConfigError", "DomainError",
+    "Degenerate", "Exponential", "DiscretePareto", "Tabulated",
+    "TraderSpec", "Population", "simulate",
+    "binomial_pmf", "exact_acf_trader", "exact_acf_market",
+    "homogeneous_market_acf", "heuristic_acf", "exponential_acf_closed_form",
+    "powerlaw_acf_asymptote", "hetero_acf_asymptote", "prefactor_hetero",
+    "prefactor_homogeneous", "prefactor_bounds", "min_splitter_count",
+    "oracle_acf_small_chain",
+    "acf_estimate", "average_curves", "fit_acf_powerlaw",
+    "replica_seed", "run_simulate", "run_experiment", "calibrate_curve",
+}
+
+
+def _sources():
+    """(label, source) of every README python block and demo/bench/acceptance file."""
+    readme = (ROOT / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        yield f"README.md block {i}", block
+    files = [*sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    for path in files:
+        yield str(path.relative_to(ROOT)), path.read_text()
+
+
+def _lmfsim_imports():
+    """(label, module, name) of every ``from lmfsim[.x] import name``, parsed, not run."""
+    for label, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "lmfsim"):
+                for alias in node.names:
+                    yield label, node.module, alias.name
+
+
+def test_all_is_the_documented_set():
+    assert len(lmfsim.__all__) == len(set(lmfsim.__all__))
+    assert set(lmfsim.__all__) == DOCUMENTED
+    for name in lmfsim.__all__:
+        assert hasattr(lmfsim, name), name
+
+
+def test_documented_imports_resolve():
+    imports = list(_lmfsim_imports())
+    assert any(label.startswith("README.md") for label, _, _ in imports)
+    assert any(label.startswith("demos/") for label, _, _ in imports)
+    for label, module, name in imports:
+        if module == "lmfsim":
+            assert name in lmfsim.__all__, f"{label}: {name} is not exported"
+        else:
+            assert hasattr(importlib.import_module(module), name), (
+                f"{label}: {module}.{name} does not exist")

@@ -13,15 +13,10 @@ from lmfsim import (
     Population,
     TraderSpec,
     calibrate_curve,
-    default_lags,
     prefactor_hetero,
     prefactor_homogeneous,
-    read_acf_csv,
     replica_seed,
-    run_calibrate,
     run_simulate,
-    theory_curves,
-    write_acf_csv,
 )
 from lmfsim.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
 from lmfsim.engine import simulate
@@ -31,11 +26,15 @@ from lmfsim.runner import (
     _run_case,
     _write_lengths_csv,
     homogeneous_exponential_cases,
+    read_acf_csv,
+    run_calibrate,
     run_replicated,
+    theory_curves,
+    write_acf_csv,
 )
 from lmfsim.config import load_config
 from lmfsim.stats import acf_estimate
-from lmfsim.theory import AcfCurve
+from lmfsim.theory import AcfCurve, default_lags
 
 
 def minimal_config(**overrides):
@@ -335,3 +334,21 @@ class TestCliExitCodes:
                          values=np.full(2000, -1.0), kind="simulated")
         path = write_acf_csv(tmp_path / "neg.csv", curve)
         assert main(["calibrate", str(path)]) == EXIT_MODEL
+
+    @pytest.mark.parametrize("break_config", [
+        lambda d: d.update(steps="ten"),
+        lambda d: d["groups"][0].update(count="x"),
+        lambda d: d["groups"][0].update(
+            count=2, intensity={"rule": "explicit", "values": ["a", 1]}),
+        lambda d: d["groups"][0].update(law={"kind": "exponential"}),
+    ], ids=["steps-not-a-number", "count-not-a-number",
+            "explicit-intensity-not-a-number", "law-missing-decay-length"])
+    def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
+                                                        break_config):
+        d = minimal_config()
+        break_config(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert main(["simulate", str(bad), "-o", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")

@@ -5,12 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lmfsim import (
-    ExperimentConfig,
-    GroupConfig,
-    load_config,
-    splitter_ids,
-)
+from lmfsim.config import ExperimentConfig, GroupConfig, load_config, splitter_ids
 from lmfsim.engine import Population, TraderSpec
 from lmfsim.errors import ConfigError
 from lmfsim.laws import Degenerate, Exponential

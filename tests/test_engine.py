@@ -9,23 +9,20 @@ import numpy as np
 import pytest
 
 from lmfsim import (
-    AliasTable,
     ConfigError,
     Degenerate,
     DiscretePareto,
     Exponential,
-    MarketState,
-    NonconvergentMean,
     Population,
     Tabulated,
     TraderSpec,
     acf_estimate,
-    init_state,
     simulate,
-    step,
 )
 from lmfsim import engine
-from lmfsim.errors import DomainError
+from lmfsim.engine import init_state
+from lmfsim.errors import DomainError, NonconvergentMean
+from lmfsim.numerics import AliasTable
 
 EXP2_PMF1 = 0.3934693402873666
 FRESH_PARETO15_PMF1 = 0.6464466094067263  # 1 - 2^{-1.5}
@@ -196,49 +193,6 @@ class TestInitState:
             init_state(Population.homogeneous(1, Degenerate()), rng, mode="warm")
 
 
-class TestStep:
-    def test_emits_current_sign_then_updates(self):
-        rng = np.random.default_rng(8)
-        pop = Population([TraderSpec(1.0, tab({2: 1.0}))])
-        sampler = AliasTable.from_weights(pop.intensities)
-        state = MarketState(
-            market_sign=1,
-            signs=np.array([-1], dtype=np.int8),
-            remaining=np.array([2], dtype=np.int64),
-            progress=np.array([0], dtype=np.int64),
-        )
-        trader, sign, completed = step(state, pop, sampler, rng)
-        assert (trader, sign, completed) == (0, -1, None)
-        assert state.remaining[0] == 1 and state.progress[0] == 1
-        trader, sign, completed = step(state, pop, sampler, rng)
-        # second execution completes the metaorder and redraws
-        assert sign == -1 and completed == 2
-        assert state.remaining[0] == 2 and state.progress[0] == 0
-
-    def test_zero_intensity_trader_frozen(self):
-        rng = np.random.default_rng(9)
-        pop = Population([TraderSpec(1.0, tab({3: 1.0})),
-                          TraderSpec(0.0, tab({2: 1.0}))])
-        out = simulate(pop, 5_000, seed=10)
-        assert out.selection_counts[1] == 0
-        assert len(out.metaorder_log[1]) == 0
-
-    def test_only_one_trader_changes_per_step(self):
-        rng = np.random.default_rng(11)
-        pop = Population([TraderSpec(0.5, tab({2: 1.0})),
-                          TraderSpec(0.5, tab({3: 1.0}))])
-        sampler = AliasTable.from_weights(pop.intensities)
-        state = init_state(pop, rng)
-        for _ in range(200):
-            before_r = state.remaining.copy()
-            before_s = state.signs.copy()
-            trader, _, _ = step(state, pop, sampler, rng)
-            untouched = np.arange(2) != trader
-            assert np.all(state.remaining[untouched] == before_r[untouched])
-            assert np.all(state.signs[untouched] == before_s[untouched])
-            assert np.all(state.remaining >= 1)
-
-
 class TestSimulate:
     def test_deterministic_repeat(self):
         pop = Population.homogeneous(1, Degenerate())
@@ -287,7 +241,7 @@ class TestSimulate:
         out = simulate(pop, 200_000, seed=15)
         for i in range(pop.size):
             logged = int(out.metaorder_log[i].sum())
-            assert logged + int(out.final_progress[i]) == int(out.selection_counts[i])
+            assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
 
     def test_metaorder_lengths_match_law(self):
         pop = Population.homogeneous(1, DiscretePareto(tail_exponent=1.5))
@@ -323,6 +277,23 @@ class TestSimulate:
         out = simulate(pop, 2_000, seed=20, init_mode="fresh_draw")
         assert out.burn_in == math.ceil(10 / 0.05)
 
+    def test_fresh_draw_burn_in_skips_zero_intensity_traders(self):
+        # the default burn-in comes from the positive intensities only
+        pop = Population([TraderSpec(0.8, tab({2: 1.0})),
+                          TraderSpec(0.2, Exponential(decay_length=3.0)),
+                          TraderSpec(0.0, tab({2: 1.0}))])
+        out = simulate(pop, 2_000, seed=34, init_mode="fresh_draw")
+        assert out.burn_in == math.ceil(10 / 0.2)
+        assert out.selection_counts[2] == 0
+
+    def test_zero_intensity_trader_frozen(self):
+        rng = np.random.default_rng(9)
+        pop = Population([TraderSpec(1.0, tab({3: 1.0})),
+                          TraderSpec(0.0, tab({2: 1.0}))])
+        out = simulate(pop, 5_000, seed=10)
+        assert out.selection_counts[1] == 0
+        assert len(out.metaorder_log[1]) == 0
+
     def test_fresh_draw_infinite_mean_law(self):
         # tail exponent 0.8 has no mean length; fresh draws still simulate it
         pop = Population([TraderSpec(0.5, DiscretePareto(tail_exponent=0.8)),
@@ -331,7 +302,7 @@ class TestSimulate:
         assert out.signs.size == 20_000
         for i in range(pop.size):
             logged = int(out.metaorder_log[i].sum())
-            assert logged + int(out.final_progress[i]) == int(out.selection_counts[i])
+            assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
 
     def test_tiny_chunks_preserve_the_process_law(self):
         # a prime chunk size forces metaorders to straddle many chunk
@@ -342,7 +313,7 @@ class TestSimulate:
         assert out.selection_counts.sum() == 200_000
         for i in range(pop.size):
             logged = int(out.metaorder_log[i].sum())
-            assert logged + int(out.final_progress[i]) == int(out.selection_counts[i])
+            assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
         curve = acf_estimate(out.signs, 1)
         expected = 4 * 0.25 ** 2 * math.exp(-0.2)
         assert abs(curve.values[0] - expected) < 4.0 / math.sqrt(out.steps)
@@ -364,7 +335,7 @@ class TestSimulate:
         for out in runs:
             for i in range(pop.size):
                 logged = int(out.metaorder_log[i].sum())
-                assert (logged + int(out.final_progress[i])
+                assert (logged + int(out.final_state.progress[i])
                         == int(out.selection_counts[i]))
         assert np.all(np.isin(runs[0].metaorder_log[0][1:], (1, 4, 9)))
         assert_same_run(*runs)

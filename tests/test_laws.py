@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmfsim import (
-    Degenerate,
-    DiscretePareto,
-    Exponential,
+from lmfsim import Degenerate, DiscretePareto, Exponential, Tabulated
+from lmfsim.errors import (
+    DomainError,
     InvalidExponent,
     InvalidSupport,
     NonconvergentMean,
-    Tabulated,
+)
+from lmfsim.laws import (
     allocate_decay_lengths,
     allocate_intensities,
-    fit_powerlaw,
     intensity_rescale_factor,
     law_from_config,
-    powerlaw_tail_sum,
 )
-from lmfsim.errors import DomainError
+from lmfsim.numerics import powerlaw_tail_sum
+from lmfsim.stats import fit_powerlaw
 
 # frozen closed-form values, cross-checked against mpmath at 40 digits
 EXP2_PMF1 = 0.3934693402873666       # 1 - e^{-1/2}
@@ -138,12 +137,9 @@ class TestLawProperties:
     @given(law_strategy(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_samples_are_positive_integers(self, law, seed):
-        rng = np.random.default_rng(seed)
-        draws = law.sample_length(rng, size=64)
+        draws = law.lengths_from_uniform(np.random.default_rng(seed).random(64))
         assert draws.dtype == np.int64
         assert draws.min() >= 1
-        single = law.sample_length(rng)
-        assert int(single) >= 1
 
     def test_ccdf_tail_matches_mean_identity(self):
         # sum_{L>=1} ccdf(L) = mean, so the tail from 1 is the mean itself
@@ -160,7 +156,7 @@ class TestSampling:
     def test_pareto_ccdf_monte_carlo(self):
         rng = np.random.default_rng(101)
         law = DiscretePareto(tail_exponent=1.5)
-        draws = law.sample_length(rng, size=1_000_000)
+        draws = law.lengths_from_uniform(rng.random(1_000_000))
         p = 10.0 ** -1.5
         se = math.sqrt(p * (1 - p) / draws.size)
         assert abs(np.mean(draws >= 10) - p) < 4 * se
@@ -168,18 +164,18 @@ class TestSampling:
     def test_exponential_mean_monte_carlo(self):
         rng = np.random.default_rng(102)
         law = Exponential(decay_length=5.0)
-        draws = law.sample_length(rng, size=1_000_000)
+        draws = law.lengths_from_uniform(rng.random(1_000_000))
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - EXP5_MEAN) < 3 * se
 
     def test_degenerate_sampling(self):
         rng = np.random.default_rng(103)
-        assert np.all(Degenerate().sample_length(rng, size=1000) == 1)
+        assert np.all(Degenerate().lengths_from_uniform(rng.random(1000)) == 1)
 
     def test_stationary_exponential_monte_carlo(self):
         rng = np.random.default_rng(104)
         law = Exponential(decay_length=2.0)
-        draws = law.sample_stationary_remaining(rng, size=1_000_000)
+        draws = law.remaining_from_uniform(rng.random(1_000_000))
         p = EXP2_PMF1
         se = math.sqrt(p * (1 - p) / draws.size)
         assert abs(np.mean(draws == 1) - p) < 3 * se
@@ -187,7 +183,7 @@ class TestSampling:
     def test_stationary_pareto_monte_carlo(self):
         rng = np.random.default_rng(105)
         law = DiscretePareto(tail_exponent=2.0)
-        draws = law.sample_stationary_remaining(rng, size=1_000_000)
+        draws = law.remaining_from_uniform(rng.random(1_000_000))
         p = 1.0 / ZETA2
         se = math.sqrt(p * (1 - p) / draws.size)
         assert abs(np.mean(draws == 1) - p) < 3 * se
@@ -195,7 +191,7 @@ class TestSampling:
     def test_stationary_tabulated_matches_pdf(self):
         rng = np.random.default_rng(106)
         law = Tabulated(support=[1, 4], probs=[0.5, 0.5])
-        draws = law.sample_stationary_remaining(rng, size=200_000)
+        draws = law.remaining_from_uniform(rng.random(200_000))
         for r in (1, 2, 3, 4):
             p = law.stationary_remaining_pdf(r)
             se = math.sqrt(p * (1 - p) / draws.size)
@@ -206,14 +202,11 @@ class TestSampling:
         Tabulated(support=[2, 5, 11], probs=[0.2, 0.5, 0.3])])
     def test_sampling_inverts_the_cdf_at_the_generator_uniforms(self, law):
         u = np.random.default_rng(108).random(200)
-        draws = law.sample_length(np.random.default_rng(108), size=200)
-        assert np.array_equal(draws, law.lengths_from_uniform(u))
+        draws = law.lengths_from_uniform(u)
         # P(L < draw) <= u < P(L <= draw)
         assert np.all(1.0 - law.ccdf(draws) <= u + 1e-12)
         assert np.all(u < 1.0 - law.ccdf(draws + 1) + 1e-12)
-        remaining = law.sample_stationary_remaining(np.random.default_rng(108),
-                                                    size=200)
-        assert np.array_equal(remaining, law.remaining_from_uniform(u))
+        remaining = law.remaining_from_uniform(u)
         cdf = np.concatenate(([0.0], np.cumsum(law.stationary_remaining_pdf(
             np.arange(1, remaining.max() + 1)))))
         assert np.all(cdf[remaining - 1] <= u + 1e-12)
@@ -238,7 +231,7 @@ class TestSampling:
     def test_stationary_pareto_infinite_mean_raises(self):
         rng = np.random.default_rng(107)
         with pytest.raises(NonconvergentMean):
-            DiscretePareto(tail_exponent=1.0).sample_stationary_remaining(rng)
+            DiscretePareto(tail_exponent=1.0).remaining_from_uniform(rng.random(1))
 
 
 class TestAllocation:

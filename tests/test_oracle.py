@@ -10,10 +10,10 @@ from lmfsim import (
     Population,
     Tabulated,
     TraderSpec,
-    build_oracle,
     exact_acf_market,
     oracle_acf_small_chain,
 )
+from lmfsim.chain_oracle import build_oracle
 from lmfsim.errors import DomainError, StateSpaceTooLarge
 
 

@@ -7,25 +7,27 @@ import pytest
 
 from lmfsim import (
     DiscretePareto,
-    EmpiricalDistribution,
     Exponential,
     Population,
     Tabulated,
     TraderSpec,
     acf_estimate,
-    aggregate_metaorder_distribution,
-    aggregated_weights,
     average_curves,
     exact_acf_trader,
     fit_acf_powerlaw,
+    simulate,
+)
+from lmfsim import stats
+from lmfsim.stats import (
+    EmpiricalDistribution,
+    acf_direct,
+    aggregate_metaorder_distribution,
+    aggregated_weights,
     fit_distribution_tail,
     fit_powerlaw,
     log_bin_curve,
     log_bin_density,
-    simulate,
 )
-from lmfsim import stats
-from lmfsim.stats import acf_direct
 from lmfsim.errors import (
     DomainError,
     EmptyLog,
@@ -347,7 +349,7 @@ class TestFitsOnModelCurves:
     def test_distribution_tail_fit(self):
         law = DiscretePareto(tail_exponent=1.5)
         rng = np.random.default_rng(21)
-        dist = EmpiricalDistribution.from_samples(law.sample_length(rng, size=500_000))
+        dist = EmpiricalDistribution.from_samples(law.lengths_from_uniform(rng.random(500_000)))
         fit = fit_distribution_tail(dist, window=(10.0, 1000.0))
         # PMF decays one power faster than the CCDF
         assert fit.exponent == pytest.approx(2.5, abs=0.2)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmfsim import (
-    AcfCurve,
     Degenerate,
     DiscretePareto,
     Exponential,
@@ -19,30 +18,31 @@ from lmfsim import (
     Tabulated,
     TraderSpec,
     binomial_pmf,
-    default_lags,
     exact_acf_market,
     exact_acf_trader,
-    exponential_acf,
     exponential_acf_closed_form,
-    fit_powerlaw,
     heuristic_acf,
     hetero_acf_asymptote,
     homogeneous_market_acf,
-    intensity_superposition_exponent,
     min_splitter_count,
     powerlaw_acf_asymptote,
     prefactor_bounds,
     prefactor_hetero,
     prefactor_homogeneous,
+)
+from lmfsim.laws import allocate_decay_lengths
+from lmfsim.stats import fit_powerlaw
+from lmfsim.theory import (
+    AcfCurve,
+    ValidityWarning,
+    default_lags,
+    exponential_acf,
+    intensity_superposition_exponent,
     prefactor_upper,
     superposition_prefactor,
     superposition_prefactor_homogeneous,
     superposition_upper,
-    survival_cdf,
 )
-from lmfsim.laws import allocate_decay_lengths
-from lmfsim.numerics import binom_cdf_prefix
-from lmfsim.theory import ValidityWarning
 from lmfsim.errors import DegenerateExponent, DomainError, NonconvergentMean
 
 # frozen values, cross-checked against mpmath at 40 digits
@@ -66,7 +66,7 @@ def _reference_market_sum(lam, law, tau, r0_min):
     binomial-CDF sweep plus the law's tail mass (the original per-lag sum)."""
     if tau >= r0_min:
         r0 = np.arange(r0_min, tau + 1, dtype=np.int64)
-        cdf_prefix = binom_cdf_prefix(tau - 1, lam, tau - 2)
+        cdf_prefix = scipy.special.bdtr(np.arange(tau - 1), tau - 1, lam)
         finite = float(np.dot(law.ccdf(r0), cdf_prefix[r0 - 2]))
     else:
         finite = 0.0
@@ -102,46 +102,6 @@ class TestBinomialPmf:
         shifted = np.concatenate(([0.0], now))
         resid = nxt - (np.concatenate((now, [0.0])) * (1 - lam) + lam * shifted)
         assert np.max(np.abs(resid)) < 1e-12
-
-
-class TestSurvivalCdf:
-    def test_frozen_values(self):
-        assert survival_cdf(0.3, 3, 5) == 1.0
-        assert survival_cdf(0.5, 2, 2) == pytest.approx(0.5, abs=1e-15)
-        assert survival_cdf(0.1, 100, 2) == pytest.approx(0.9**99, rel=1e-13, abs=0.0)
-
-    @given(st.floats(0.001, 1.0), st.integers(1, 400), st.integers(2, 30))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_regularised_incomplete_beta(self, lam, tau, r0):
-        ours = survival_cdf(lam, tau, r0)
-        if tau <= r0 - 1:
-            assert ours == 1.0
-            return
-        # P(B(n, lam) <= k) = I_{1-lam}(n - k, k + 1)
-        n, k = tau - 1, r0 - 2
-        ref = scipy.special.betainc(n - k, k + 1, 1.0 - lam)
-        assert abs(ours - ref) < 1e-10
-
-    @given(st.floats(0.01, 0.99), st.integers(1, 200), st.integers(2, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_lag_and_remaining(self, lam, tau, r0):
-        here = survival_cdf(lam, tau, r0)
-        assert survival_cdf(lam, tau + 1, r0) <= here + 1e-15
-        assert survival_cdf(lam, tau, r0 + 1) >= here - 1e-15
-        assert 0.0 <= here <= 1.0
-
-    def test_monotone_next_to_one(self):
-        # a cumulative pmf sum gives 0.9999999999999972 at tau 19 and
-        # 0.9999999999999997 at tau 20, rising with the lag
-        assert survival_cdf(0.0625, 20, 17) <= survival_cdf(0.0625, 19, 17)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            survival_cdf(0.5, 2, 1)
-        with pytest.raises(DomainError):
-            survival_cdf(0.0, 2, 2)
-        with pytest.raises(DomainError):
-            survival_cdf(0.5, 0, 2)
 
 
 class TestExactAcf:
