@@ -62,6 +62,12 @@ def _number(kind, value, what: str):
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
 
 
+def _flag(d: dict, key: str, default: bool) -> bool:
+    value = d.get(key, default)
+    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _known_keys(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
@@ -83,6 +89,7 @@ class GroupConfig:
             _require(key in d, f"group is missing {key!r}")
         count = _number(int, d["count"], "group count")
         _require(count >= 1, f"group count must be >= 1, got {count}")
+        _require(isinstance(d["intensity"], dict), "intensity must be an object")
         intensity = dict(d["intensity"])
         rule = intensity.get("rule")
         _require(
@@ -177,6 +184,7 @@ class ExperimentConfig:
         _known_keys(d, cls._ALLOWED, "config")
         for key in ("steps", "seed", "max_lag", "groups"):
             _require(key in d, f"config is missing {key!r}")
+        _require(isinstance(d["groups"], (list, tuple)), "groups must be a list")
         cfg = cls(
             steps=_number(int, d["steps"], "steps"),
             seed=_number(int, d["seed"], "seed"),
@@ -185,8 +193,8 @@ class ExperimentConfig:
             replicas=_number(int, d.get("replicas", 1), "replicas"),
             init_mode=str(d.get("init_mode", "stationary")),
             collect_lengths=str(d.get("collect_lengths", "splitters")),
-            save_signs=bool(d.get("save_signs", False)),
-            save_lengths=bool(d.get("save_lengths", True)),
+            save_signs=_flag(d, "save_signs", False),
+            save_lengths=_flag(d, "save_lengths", True),
             theory_grid=str(d.get("theory_grid", "geometric")),
             label=str(d.get("label", "")),
         )

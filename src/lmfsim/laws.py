@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import (
     DomainError,
@@ -32,7 +33,6 @@ from .errors import (
     LmfsimError,
     NonconvergentMean,
 )
-from .numerics import powerlaw_tail_sum
 
 __all__ = [
     "MetaorderLaw",
@@ -217,16 +217,17 @@ class DiscretePareto(MetaorderLaw):
         arr = _check_lengths(length).astype(np.float64)
         return arr**-self.tail_exponent
 
-    @cached_property
-    def _mean(self) -> float:
-        return powerlaw_tail_sum(self.tail_exponent, 1)
-
     def mean_length(self) -> float:
-        return self._mean
+        # Riemann zeta(alpha), the normaliser the stationary draws invert
+        _check_summable(self.tail_exponent)
+        return float(zeta(self.tail_exponent))
 
     def ccdf_tail(self, start: int) -> float:
-        # the exact ACF takes one tail per curve, so it can afford full precision
-        return powerlaw_tail_sum(self.tail_exponent, start, rel_tol=1e-15)
+        # Hurwitz zeta(alpha, start) = sum_{k >= start} k**-alpha
+        _check_summable(self.tail_exponent)
+        if start < 1:
+            raise DomainError(f"tail start must be >= 1, got {start}")
+        return float(zeta(self.tail_exponent, start))
 
     @property
     def param(self) -> float:
@@ -239,56 +240,35 @@ class DiscretePareto(MetaorderLaw):
         return np.minimum(raw, float(_REMAINING_CAP)).astype(np.int64)
 
     def remaining_from_uniform(self, u, param=None):
-        u = np.asarray(u, dtype=np.float64)
-        alpha = np.broadcast_to(self.tail_exponent if param is None else param, u.shape)
-        out = np.empty(u.shape, dtype=np.int64)
-        for a in np.unique(alpha):
-            hit = alpha == a
-            out[hit] = _pareto_remaining(u[hit], float(a))
-        return out
+        alpha = self.tail_exponent if param is None else param
+        return _pareto_remaining(np.asarray(u, dtype=np.float64), alpha)
 
     def as_config(self) -> dict:
         return {"kind": self.kind, "alpha": self.tail_exponent}
 
 
-_STATIONARY_CAP = 1 << 20
+def _check_summable(alpha):
+    if np.any(np.asarray(alpha) <= 1.0):
+        raise NonconvergentMean(f"tail sum diverges for exponent {alpha} <= 1")
 
 
-@lru_cache(maxsize=4)
-def _stationary_table(alpha: float) -> np.ndarray:
-    """Head CDF of the Pareto P_st up to the cap, shared by every law of this alpha."""
-    mean = powerlaw_tail_sum(alpha, 1)
-    r = np.arange(1, _STATIONARY_CAP + 1, dtype=np.float64)
-    table = np.cumsum(r**-alpha) / mean
-    table.setflags(write=False)
-    return table
+def _pareto_remaining(u: np.ndarray, alpha) -> np.ndarray:
+    """Pareto P_st draws: the smallest r with zeta(alpha, r + 1) <= (1 - u) zeta(alpha).
 
-
-def _pareto_remaining(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Pareto P_st draws: table lookup, then exact tail inversion past the table."""
-    table = _stationary_table(alpha)
-    mean = powerlaw_tail_sum(alpha, 1)
-    out = 1 + np.searchsorted(table, u, side="right")
-    for i in np.flatnonzero(u >= table[-1]):
-        out[i] = _invert_stationary_tail(alpha, (1.0 - u[i]) * mean)
-    return out
-
-
-def _invert_stationary_tail(alpha: float, target: float) -> int:
-    """Smallest r > cap with zeta-tail(r + 1) <= target, clamped to int64 range."""
-    lo = _STATIONARY_CAP + 1
-    hi = lo
-    while powerlaw_tail_sum(alpha, hi + 1) > target:
-        hi *= 2
-        if hi >= _REMAINING_CAP:
-            return _REMAINING_CAP
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if powerlaw_tail_sum(alpha, mid + 1) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    The continuum inverse of zeta(alpha, s) ~ (s - 1/2)**(1 - alpha) / (alpha - 1)
+    lands within one of that r wherever doubles can tell r from r + 1 (below
+    about 2**40), so one bracket step makes it exact; ``alpha`` broadcasts
+    against ``u``.
+    """
+    _check_summable(alpha)
+    target = (1.0 - u) * zeta(alpha)
+    # in log space, so alpha near 1 clamps at the cap instead of overflowing
+    log_r = -np.log((alpha - 1.0) * target) / (alpha - 1.0)
+    cap = float(_REMAINING_CAP)
+    r = np.clip(np.ceil(np.exp(np.minimum(log_r, math.log(cap))) - 0.5), 1.0, cap)
+    r += zeta(alpha, r + 1.0) > target
+    r -= (r > 1.0) & (zeta(alpha, r) <= target)
+    return r.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)

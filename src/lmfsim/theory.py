@@ -37,12 +37,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .engine import Population, TraderSpec
 from .errors import DegenerateExponent, DomainError, LmfsimError
 from .laws import Degenerate, DiscretePareto, Exponential, MetaorderLaw
-from .numerics import log_binom_pmf
 
 __all__ = [
     "AcfCurve",
@@ -149,7 +148,16 @@ def binomial_pmf(t: int, lam: float, n) -> np.ndarray | float:
     n_arr = np.asarray(n, dtype=np.int64)
     if n_arr.size and (n_arr.min() < 0 or n_arr.max() > t):
         raise DomainError(f"counts must lie in [0, {t}]")
-    return np.exp(log_binom_pmf(t, lam, n_arr))
+    n = n_arr.astype(np.float64)
+    # xlogy / xlog1py give 0 * log(0) = 0, so lam in {0, 1} stays exact
+    log_pmf = (
+        gammaln(t + 1.0)
+        - gammaln(n + 1.0)
+        - gammaln(t - n + 1.0)
+        + xlogy(n, lam)
+        + xlog1py(t - n, -lam)
+    )
+    return np.exp(log_pmf)[()]
 
 
 def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.ndarray:
@@ -440,24 +448,6 @@ class PrefactorReport:
     slack_lower: float
     slack_upper: float
     is_homogeneous_equality: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "intensities": list(self.intensities),
-            "mu": self.mu,
-            "splitter_count": self.splitter_count,
-            "c0_hetero": self.c0_hetero,
-            "c0_homogeneous": self.c0_homogeneous,
-            "c0_upper": self.c0_upper,
-            "q0_hetero": self.q0_hetero,
-            "q0_homogeneous": self.q0_homogeneous,
-            "q0_upper": self.q0_upper,
-            "q0_over_c0": self.q0_over_c0,
-            "slack_lower": self.slack_lower,
-            "slack_upper": self.slack_upper,
-            "is_homogeneous_equality": self.is_homogeneous_equality,
-        }
 
 
 def prefactor_bounds(intensities, alpha: float) -> PrefactorReport:

@@ -341,8 +341,14 @@ class TestCliExitCodes:
         lambda d: d["groups"][0].update(
             count=2, intensity={"rule": "explicit", "values": ["a", 1]}),
         lambda d: d["groups"][0].update(law={"kind": "exponential"}),
+        lambda d: d.update(groups=5),
+        lambda d: d["groups"][0].update(intensity="x"),
+        lambda d: d["groups"][0].update(intensity=5),
+        lambda d: d.update(save_signs="no"),
     ], ids=["steps-not-a-number", "count-not-a-number",
-            "explicit-intensity-not-a-number", "law-missing-decay-length"])
+            "explicit-intensity-not-a-number", "law-missing-decay-length",
+            "groups-not-a-list", "intensity-a-string", "intensity-a-number",
+            "save-signs-not-a-boolean"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()

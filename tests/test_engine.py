@@ -175,8 +175,8 @@ class TestInitState:
                 assert state.remaining[i] == getattr(t.law, kernel)(u[i : i + 1])[0]
 
     def test_equal_pareto_laws_share_one_table(self):
-        # the stationary head table (8 MB) is built per tail exponent, not
-        # per law instance: 100 instances once cost 816 MB here
+        # stationary draws keep no per-law state: an 8 MB head table per law
+        # instance once cost 816 MB for these 100 instances
         pop = Population([TraderSpec(0.01, DiscretePareto(tail_exponent=1.5))
                           for _ in range(100)])
         tracemalloc.start()

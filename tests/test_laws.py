@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from lmfsim import Degenerate, DiscretePareto, Exponential, Tabulated
 from lmfsim.errors import (
@@ -20,7 +21,6 @@ from lmfsim.laws import (
     intensity_rescale_factor,
     law_from_config,
 )
-from lmfsim.numerics import powerlaw_tail_sum
 from lmfsim.stats import fit_powerlaw
 
 # frozen closed-form values, cross-checked against mpmath at 40 digits
@@ -213,6 +213,7 @@ class TestSampling:
         assert np.all(u < cdf[remaining] + 1e-12)
 
     def test_stationary_pareto_tail_beyond_the_table_is_exact(self):
+        # draws far out in the tail, past 2**20, against scipy's zeta tail
         law = DiscretePareto(tail_exponent=1.5)
         cap = 1 << 20
         head = law.stationary_remaining_pdf(np.arange(1, cap + 1)).sum()
@@ -224,9 +225,29 @@ class TestSampling:
         assert r[2] == other.remaining_from_uniform(u[2:3])[0]
         for ri, ui in zip(r[[1, 3]], u[[1, 3]]):
             # smallest r with P(R > r) <= 1 - u, from the zeta tail itself
-            target = (1.0 - ui) * law.mean_length()
+            target = (1.0 - ui) * zeta(1.5)
             assert ri > cap
-            assert powerlaw_tail_sum(1.5, ri + 1) <= target < powerlaw_tail_sum(1.5, ri)
+            assert zeta(1.5, ri + 1) <= target < zeta(1.5, ri)
+
+    def test_stationary_pareto_draw_near_the_int64_cap(self):
+        # the true r is below the 2**62 clamp; mpmath puts it at this value
+        u = np.array([0.9998108388280664])
+        r = DiscretePareto(tail_exponent=1.2).remaining_from_uniform(u)[0]
+        assert r < 1 << 62
+        assert r == pytest.approx(2360567261104078313, rel=1e-12)
+
+    def test_stationary_pareto_draws_bracket_the_zeta_tail(self):
+        # every draw r below 2**40 is the smallest with
+        # zeta(alpha, r + 1) <= (1 - u) zeta(alpha)
+        alpha = 1.05
+        u = np.random.default_rng(109).random(100_000)
+        r = DiscretePareto(tail_exponent=alpha).remaining_from_uniform(u)
+        small = r < 2**40
+        assert small.mean() > 0.5
+        rf = r[small].astype(np.float64)
+        target = (1.0 - u[small]) * zeta(alpha)
+        assert np.all(zeta(alpha, rf + 1.0) <= target)
+        assert np.all(target < zeta(alpha, rf))
 
     def test_stationary_pareto_infinite_mean_raises(self):
         rng = np.random.default_rng(107)
