@@ -30,9 +30,9 @@ children, derived by spawn key:
   al., SC'11).  The top 53 bits of z are the uniform the law's inverse CDF
   turns into the length, the lowest bit is the sign.
 
-No draw therefore depends on ``chunk_size``, on how the fresh metaorders are
-batched or on how many were drawn ahead: the same seed gives the same bytes
-for every chunking.
+No draw therefore depends on the chunk length ``_CHUNK``, on how the fresh
+metaorders are batched or on how many were drawn ahead: the same seed gives
+the same bytes for every chunking.
 
 Bookkeeping convention: the first completion of a trader logs only the
 executions that happened inside the simulated window (the initial remaining
@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 INIT_MODES = ("stationary", "fresh_draw")
+
+# Steps per chunk of ``simulate``; it bounds the temporaries and changes no output.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -445,7 +448,6 @@ def simulate(
     burn_in: int | None = None,
     collect_lengths=True,
     keep_signs: bool = True,
-    chunk_size: int = 1 << 20,
 ) -> SimulationOutput:
     """Run the market for ``steps`` steps and return signs plus bookkeeping.
 
@@ -456,8 +458,8 @@ def simulate(
         Number of recorded steps (after any burn-in).
     seed : int, SeedSequence or Generator
         Source of randomness; the same seed always reproduces the output
-        byte for byte, whatever ``chunk_size``.  A Generator is advanced by
-        the four words of entropy drawn from it.
+        byte for byte, however the steps are chunked.  A Generator is
+        advanced by the four words of entropy drawn from it.
     init_mode : {"stationary", "fresh_draw"}
     burn_in : int, optional
         Discarded warm-up steps.  Defaults to 0 for stationary starts and to
@@ -466,13 +468,9 @@ def simulate(
         Which traders append completed metaorders to the log.
     keep_signs : bool
         Store the emitted sign series (int8, one byte per step).
-    chunk_size : int
-        Steps per chunk; it bounds the temporaries and changes no output.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be positive")
     select_rng, init_rng, key = _streams(seed)
 
     m = population.size
@@ -505,7 +503,7 @@ def simulate(
         nonlocal market_sign
         done = 0
         while done < total:
-            n = min(chunk_size, total - done)
+            n = min(_CHUNK, total - done)
             # one double per step: column floor(u m), alias coin its fraction
             x = select_rng.random(n)
             x *= m

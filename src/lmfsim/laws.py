@@ -235,8 +235,10 @@ class DiscretePareto(MetaorderLaw):
 
     def lengths_from_uniform(self, u, param=None):
         alpha = self.tail_exponent if param is None else param
-        # floor((1-u)**(-1/alpha)) hits the discrete CCDF exactly
-        raw = np.floor((1.0 - u) ** (-1.0 / alpha))
+        # floor((1-u)**(-1/alpha)) hits the discrete CCDF exactly; a small
+        # alpha can overflow to inf, which the cap below turns into 2**62
+        with np.errstate(over="ignore"):
+            raw = np.floor((1.0 - u) ** (-1.0 / alpha))
         return np.minimum(raw, float(_REMAINING_CAP)).astype(np.int64)
 
     def remaining_from_uniform(self, u, param=None):

@@ -394,7 +394,8 @@ PRESET_SEEDS = {"fig3": 11_000, "fig4": 12_000, "fig5": 13_000, "fig7": 14_000,
                 "bounds": 15_000}
 
 
-def _case_config(label, seed, steps, replicas, max_lag, groups, **kw):
+def _case_config(label, seed, steps, replicas, max_lag, groups,
+                 collect_lengths="none", **kw):
     return ExperimentConfig.from_dict(
         {
             "label": label,
@@ -403,188 +404,15 @@ def _case_config(label, seed, steps, replicas, max_lag, groups, **kw):
             "replicas": replicas,
             "max_lag": max_lag,
             "groups": groups,
+            "collect_lengths": collect_lengths,
             **kw,
         }
     )
 
 
-def homogeneous_exponential_cases(base_seed: int = PRESET_SEEDS["fig3"]):
-    """Homogeneous exponential market: three decay lengths, closed-form check."""
-    cases = []
-    for j, decay in enumerate((2, 5, 10)):
-        cases.append(
-            {
-                "decay_length": float(decay),
-                "config": _case_config(
-                    f"exp-decay-{decay}",
-                    base_seed + j,
-                    steps=10_000_000,
-                    replicas=12,
-                    max_lag=600,
-                    groups=[
-                        {
-                            "count": 10,
-                            "intensity": {"rule": "equal", "mass": 1.0},
-                            "law": {"kind": "exponential", "decay_length": float(decay)},
-                        }
-                    ],
-                    collect_lengths="none",
-                ),
-            }
-        )
-    return cases
-
-
-def pareto_splitter_cases(base_seed: int = PRESET_SEEDS["fig4"]):
-    """Pareto splitters plus noise traders: quantitative and qualitative cells."""
-    quantitative = []
-    for j, mu in enumerate((1.0, 0.85, 0.7)):
-        groups = [
-            {
-                "count": 10,
-                "intensity": {"rule": "equal", "mass": mu},
-                "law": {"kind": "pareto", "alpha": 1.5},
-            }
-        ]
-        if mu < 1.0:
-            groups.append(
-                {
-                    "count": 1,
-                    "intensity": {"rule": "equal", "mass": round(1.0 - mu, 12)},
-                    "law": {"kind": "degenerate"},
-                }
-            )
-        quantitative.append(
-            {
-                "mu": mu,
-                "alpha": 1.5,
-                "splitter_count": 10,
-                "config": _case_config(
-                    f"pareto-mu-{mu}",
-                    base_seed + j,
-                    steps=10_000_000,
-                    replicas=12,
-                    max_lag=10_000,
-                    groups=groups,
-                    collect_lengths="none",
-                ),
-            }
-        )
-    qualitative = []
-    for j, (alpha, count) in enumerate(((1.5, 100), (2.5, 10))):
-        qualitative.append(
-            {
-                "mu": 1.0,
-                "alpha": alpha,
-                "splitter_count": count,
-                "config": _case_config(
-                    f"pareto-alpha-{alpha}-m-{count}",
-                    base_seed + 100 + j,
-                    steps=4_000_000,
-                    replicas=2,
-                    max_lag=10_000,
-                    groups=[
-                        {
-                            "count": count,
-                            "intensity": {"rule": "equal", "mass": 1.0},
-                            "law": {"kind": "pareto", "alpha": alpha},
-                        }
-                    ],
-                    collect_lengths="none",
-                ),
-            }
-        )
-    return quantitative, qualitative
-
-
-def decay_superposition_cases(base_seed: int = PRESET_SEEDS["fig5"]):
-    """1000 equal-intensity exponential splitters with allocated decay lengths.
-
-    The superposition scaling regime opens at lags around M (each trader is
-    touched once per M steps on average), so the fit window sits at
-    [2e3, 1e5]; below that the exact curve is still on its shoulder.
-    """
-    cases = []
-    for j, theta in enumerate((1.5, 2.5)):
-        quantitative = 1.0 < theta < 2.0
-        cases.append(
-            {
-                "theta": theta,
-                "quantitative": quantitative,
-                "acf_window": (2_000.0, 100_000.0) if quantitative
-                else (2_000.0, 20_000.0),
-                "config": _case_config(
-                    f"decay-superposition-theta-{theta}",
-                    base_seed + j,
-                    steps=10_000_000,
-                    replicas=10,
-                    max_lag=100_000,
-                    groups=[
-                        {
-                            "count": 1000,
-                            "intensity": {"rule": "equal", "mass": 1.0},
-                            "law": {
-                                "kind": "exponential",
-                                "decay_length": {"rule": "pareto", "theta": theta},
-                            },
-                        }
-                    ],
-                    collect_lengths="all",
-                    save_lengths=False,
-                ),
-            }
-        )
-    return cases
-
-
-def intensity_superposition_cases(base_seed: int = PRESET_SEEDS["fig7"]):
-    """1000 exponential splitters with power-law intensity profiles.
-
-    Normalising the intensities to unit total mass stretches every trader
-    clock by intensity_rescale_factor (about 10 here), so the asymptote's
-    reference window [10, 1e3] maps to [10 s, 1e3 s] in simulation lags.
-    The quantitative cell fits there; the other cells report raw windows.
-    """
-    cases = []
-    for j, (beta, decay) in enumerate(((0.5, 10.0), (0.5, 100.0),
-                                       (-0.5, 10.0), (-0.5, 100.0))):
-        quantitative = beta == 0.5 and decay == 10.0
-        if quantitative:
-            s = intensity_rescale_factor(1000, beta, 1e-4, 1.0)
-            window = (10.0 * s, 1_000.0 * s)
-            replicas, max_lag = 32, 11_000
-        else:
-            window = (10.0, 1_000.0)
-            replicas, max_lag = 4, 2_000
-        cases.append(
-            {
-                "beta": beta,
-                "decay_length": decay,
-                "quantitative": quantitative,
-                "window": window,
-                "config": _case_config(
-                    f"intensity-superposition-beta-{beta}-decay-{decay}",
-                    base_seed + j,
-                    steps=10_000_000,
-                    replicas=replicas,
-                    max_lag=max_lag,
-                    groups=[
-                        {
-                            "count": 1000,
-                            "intensity": {
-                                "rule": "pareto",
-                                "mass": 1.0,
-                                "beta": beta,
-                                "lambda_cut": 1e-4,
-                            },
-                            "law": {"kind": "exponential", "decay_length": decay},
-                        }
-                    ],
-                    collect_lengths="none",
-                ),
-            }
-        )
-    return cases
+def _group(count, mass, law):
+    """A group of ``count`` traders sharing ``mass`` equally under one law."""
+    return {"count": count, "intensity": {"rule": "equal", "mass": mass}, "law": law}
 
 
 def oracle_case_populations():
@@ -622,10 +450,6 @@ def oracle_case_populations():
     ]
 
 
-def _fit_window(max_lag: int, steps: int):
-    return (100.0, float(min(10_000, max_lag, steps // 100)))
-
-
 def _acf_comparison(steps: int, exact: AcfCurve, curve: AcfCurve):
     """Exact-curve agreement in the region where theory dominates noise."""
     lags = exact.lags
@@ -654,16 +478,17 @@ def _run_case(out_dir: Path, cfg):
 
 
 def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
-    cases = homogeneous_exponential_cases(base_seed)
+    """Homogeneous exponential market: three decay lengths, closed-form check."""
     report = {"name": "fig3", "cases": []}
-    for case in cases:
-        cfg = case["config"]
+    for j, decay in enumerate((2.0, 5.0, 10.0)):
+        cfg = _case_config(f"exp-decay-{decay:g}", base_seed + j, 10_000_000, 12, 600,
+                           [_group(10, 1.0, {"kind": "exponential", "decay_length": decay})])
         pop, res, exact, manifest = _run_case(out_dir, cfg)
-        closed = exponential_acf(float(pop.intensities[0]), case["decay_length"])
+        closed = exponential_acf(float(pop.intensities[0]), decay)
         report["cases"].append(
             {
                 "label": cfg.label,
-                "decay_length": case["decay_length"],
+                "decay_length": decay,
                 "market_prefactor": closed.prefactor * pop.size,
                 "decay_time": closed.decay_time,
                 "comparison": _acf_comparison(cfg.steps, exact, res["curve"]),
@@ -673,17 +498,15 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
     return report
 
 
-def _fig4_entry(out_dir: Path, case) -> dict:
-    cfg = case["config"]
+def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
     pop, res, _, manifest = _run_case(out_dir, cfg)
-    window = _fit_window(cfg.max_lag, cfg.steps)
-    alpha = case["alpha"]
+    window = (100.0, 10_000.0)
     fit = fit_acf_powerlaw(res["curve"], window)
     entry = {
         "label": cfg.label,
-        "mu": case["mu"],
+        "mu": mu,
         "alpha": alpha,
-        "splitter_count": case["splitter_count"],
+        "splitter_count": splitter_count,
         "window": list(window),
         "fitted_exponent": fit.exponent,
         "fitted_prefactor": fit.prefactor,
@@ -699,23 +522,38 @@ def _fig4_entry(out_dir: Path, case) -> dict:
 
 
 def _experiment_fig4(out_dir: Path, base_seed: int) -> dict:
-    quantitative, qualitative = pareto_splitter_cases(base_seed)
+    """Pareto splitters plus noise traders: quantitative and qualitative cells."""
     report = {"name": "fig4", "cases": [], "qualitative": []}
-    for case in quantitative:
-        report["cases"].append(_fig4_entry(out_dir, case))
-    for case in qualitative:
-        report["qualitative"].append(_fig4_entry(out_dir, case))
+    for j, mu in enumerate((1.0, 0.85, 0.7)):
+        groups = [_group(10, mu, {"kind": "pareto", "alpha": 1.5})]
+        if mu < 1.0:
+            groups.append(_group(1, round(1.0 - mu, 12), {"kind": "degenerate"}))
+        cfg = _case_config(f"pareto-mu-{mu}", base_seed + j, 10_000_000, 12, 10_000, groups)
+        report["cases"].append(_fig4_entry(out_dir, cfg, mu, 1.5, 10))
+    for j, (alpha, count) in enumerate(((1.5, 100), (2.5, 10))):
+        cfg = _case_config(f"pareto-alpha-{alpha}-m-{count}", base_seed + 100 + j,
+                           4_000_000, 2, 10_000,
+                           [_group(count, 1.0, {"kind": "pareto", "alpha": alpha})])
+        report["qualitative"].append(_fig4_entry(out_dir, cfg, 1.0, alpha, count))
     return report
 
 
 def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
-    cases = decay_superposition_cases(base_seed)
+    """1000 equal-intensity exponential splitters with allocated decay lengths.
+
+    The superposition scaling regime opens at lags around M (each trader is
+    touched once per M steps on average), so the fit window sits at
+    [2e3, 1e5]; below that the exact curve is still on its shoulder.
+    """
     report = {"name": "fig5", "cases": []}
-    for case in cases:
-        cfg = case["config"]
-        theta = case["theta"]
+    for j, theta in enumerate((1.5, 2.5)):
+        quantitative = 1.0 < theta < 2.0
+        window = (2_000.0, 100_000.0 if quantitative else 20_000.0)
+        law = {"kind": "exponential", "decay_length": {"rule": "pareto", "theta": theta}}
+        cfg = _case_config(f"decay-superposition-theta-{theta}", base_seed + j,
+                           10_000_000, 10, 100_000, [_group(1000, 1.0, law)],
+                           collect_lengths="all", save_lengths=False)
         pop, res, _, manifest = _run_case(out_dir, cfg)
-        window = case["acf_window"]
         acf_fit = fit_acf_powerlaw(res["curve"], window)
         dist = res["lengths"]
         max_len = int(dist.support.max())
@@ -732,10 +570,10 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
             "metaorders": int(res["metaorders"]),
             "expected_acf_exponent": theta - 1.0,
             "expected_pdf_exponent": theta + 1.0,
-            "within_validity": bool(1.0 < theta < 2.0),
+            "within_validity": quantitative,
             "manifest": manifest,
         }
-        if 1.0 < theta < 2.0:
+        if quantitative:
             q0 = superposition_prefactor(pop.intensities, theta)
             entry["expected_acf_prefactor"] = q0
             entry["acf_prefactor_ratio"] = acf_fit.prefactor / q0
@@ -744,26 +582,46 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
 
 
 def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
-    cases = intensity_superposition_cases(base_seed)
+    """1000 exponential splitters with power-law intensity profiles.
+
+    Normalising the intensities to unit total mass stretches every trader
+    clock by intensity_rescale_factor (about 10 here), so the asymptote's
+    reference window [10, 1e3] maps to [10 s, 1e3 s] in simulation lags.
+    The quantitative cell fits there; the other cells report raw windows.
+    """
     report = {"name": "fig7", "cases": []}
-    for case in cases:
-        cfg = case["config"]
+    for j, (beta, decay) in enumerate(((0.5, 10.0), (0.5, 100.0),
+                                       (-0.5, 10.0), (-0.5, 100.0))):
+        quantitative = beta == 0.5 and decay == 10.0
+        if quantitative:
+            s = intensity_rescale_factor(1000, beta, 1e-4, 1.0)
+            window = (10.0 * s, 1_000.0 * s)
+            replicas, max_lag = 32, 11_000
+        else:
+            window = (10.0, 1_000.0)
+            replicas, max_lag = 4, 2_000
+        group = {
+            "count": 1000,
+            "intensity": {"rule": "pareto", "mass": 1.0, "beta": beta, "lambda_cut": 1e-4},
+            "law": {"kind": "exponential", "decay_length": decay},
+        }
+        cfg = _case_config(f"intensity-superposition-beta-{beta}-decay-{decay}",
+                           base_seed + j, 10_000_000, replicas, max_lag, [group])
         _, res, exact, manifest = _run_case(out_dir, cfg)
-        window = case["window"]
         fit = fit_acf_powerlaw(res["curve"], window)
         exact_fit = fit_acf_powerlaw(exact, window)
         entry = {
             "label": cfg.label,
-            "beta": case["beta"],
-            "decay_length": case["decay_length"],
-            "quantitative": case["quantitative"],
+            "beta": beta,
+            "decay_length": decay,
+            "quantitative": quantitative,
             "window": list(window),
             "fitted_exponent": fit.exponent,
             "exact_curve_exponent": exact_fit.exponent,
             "manifest": manifest,
         }
-        if case["beta"] > 0:
-            entry["expected_exponent"] = 2.0 - case["beta"]
+        if beta > 0:
+            entry["expected_exponent"] = 2.0 - beta
         report["cases"].append(entry)
     return report
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .engine import Population, SimulationOutput
+from .engine import SimulationOutput
 from .errors import DomainError, EmptyLog, InsufficientPoints, SeriesTooShort
 from .theory import AcfCurve
 
@@ -25,7 +25,6 @@ __all__ = [
     "average_curves",
     "EmpiricalDistribution",
     "aggregate_metaorder_distribution",
-    "aggregated_weights",
     "PowerLawFit",
     "fit_powerlaw",
     "log_bin_curve",
@@ -177,48 +176,13 @@ class EmpiricalDistribution:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def pdf(self) -> np.ndarray:
-        return self.counts / self.total
 
-    def ccdf(self) -> np.ndarray:
-        """P(X >= support[k]) for each support point."""
-        return np.cumsum(self.counts[::-1])[::-1] / self.total
-
-    def ccdf_at(self, value: int) -> float:
-        idx = np.searchsorted(self.support, value, side="left")
-        tail = self.counts[idx:].sum()
-        return float(tail / self.total)
-
-
-def aggregate_metaorder_distribution(
-    output: SimulationOutput, traders=None
-) -> EmpiricalDistribution:
+def aggregate_metaorder_distribution(output: SimulationOutput) -> EmpiricalDistribution:
     """Pool completed metaorder lengths across traders into one distribution."""
-    logs = output.metaorder_log
-    ids = range(len(logs)) if traders is None else traders
-    parts = [logs[i] for i in ids if logs[i].size]
+    parts = [log for log in output.metaorder_log if log.size]
     if not parts:
         raise EmptyLog("no completed metaorders were logged")
     return EmpiricalDistribution.from_samples(np.concatenate(parts))
-
-
-def aggregated_weights(population: Population, traders=None) -> np.ndarray:
-    """Weights of each trader in the pooled metaorder-length mixture.
-
-    Completed metaorders arrive at rate intensity/mean_length per trader, so
-    the pooled distribution mixes the per-trader laws with those rates,
-    normalised to unit total.
-    """
-    ids = list(range(population.size)) if traders is None else list(traders)
-    if not ids:
-        raise DomainError("need at least one trader")
-    rates = np.array(
-        [
-            population.intensities[i] / population.traders[i].law.mean_length()
-            for i in ids
-        ]
-    )
-    return rates / rates.sum()
 
 
 @dataclass(frozen=True)

@@ -65,3 +65,15 @@ def test_documented_imports_resolve():
         else:
             assert hasattr(importlib.import_module(module), name), (
                 f"{label}: {module}.{name} does not exist")
+
+
+def test_submodule_all_lists_name_existing_objects():
+    modules = [importlib.import_module(f"lmfsim.{path.stem}")
+               for path in sorted(Path(lmfsim.__file__).parent.glob("*.py"))
+               if path.stem != "__init__"]
+    checked = [m for m in modules if hasattr(m, "__all__")]
+    assert len(checked) >= 5
+    for module in checked:
+        assert len(module.__all__) == len(set(module.__all__)), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"

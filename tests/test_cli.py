@@ -25,7 +25,6 @@ from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
     _run_case,
     _write_lengths_csv,
-    homogeneous_exponential_cases,
     read_acf_csv,
     run_calibrate,
     run_replicated,
@@ -211,9 +210,12 @@ class TestRunDirectory:
             (tmp_path / "reference.csv").read_bytes()
 
     def test_experiment_case_writes_a_full_run_directory(self, tmp_path):
-        preset = homogeneous_exponential_cases()[0]["config"].to_dict()
-        cfg = load_config({**preset, "steps": 20_000, "replicas": 2,
-                           "collect_lengths": "all"})
+        cfg = load_config(minimal_config(
+            label="exp-decay-2", steps=20_000, replicas=2, max_lag=600,
+            collect_lengths="all",
+            groups=[{"count": 10, "intensity": {"rule": "equal", "mass": 1.0},
+                     "law": {"kind": "exponential", "decay_length": 2.0}}],
+        ))
         pop, res, exact, entry = _run_case(tmp_path, cfg)
         case_dir = Path(entry["dir"])
         assert case_dir == tmp_path / cfg.label

@@ -56,6 +56,12 @@ def assert_same_run(a, b):
                               getattr(b.final_state, name)), name
 
 
+def simulate_in_chunks(monkeypatch, chunk, *args, **kwargs):
+    """``simulate`` with its chunk length set to ``chunk`` steps."""
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    return simulate(*args, **kwargs)
+
+
 def serial_reference(pop, steps, seed, init_mode, burn_in):
     """Step-by-step market on simulate's streams: one trader, one step at a time."""
     select_rng, init_rng, key = engine._streams(seed)
@@ -304,11 +310,11 @@ class TestSimulate:
             logged = int(out.metaorder_log[i].sum())
             assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
 
-    def test_tiny_chunks_preserve_the_process_law(self):
+    def test_tiny_chunks_preserve_the_process_law(self, monkeypatch):
         # a prime chunk size forces metaorders to straddle many chunk
         # boundaries; the bookkeeping and the sign law must both survive
         pop = Population.homogeneous(4, Exponential(decay_length=5.0))
-        out = simulate(pop, 200_000, seed=22, chunk_size=17)
+        out = simulate_in_chunks(monkeypatch, 17, pop, 200_000, seed=22)
         assert out.signs.size == 200_000
         assert out.selection_counts.sum() == 200_000
         for i in range(pop.size):
@@ -324,13 +330,14 @@ class TestSimulate:
             se = math.sqrt(p * (1 - p) / lengths.size)
             assert abs(np.mean(lengths >= probe) - p) < 4 * se
 
-    def test_bookkeeping_across_many_chunk_boundaries(self):
+    def test_bookkeeping_across_many_chunk_boundaries(self, monkeypatch):
         # tabulated and infinite-mean traders drawing fresh metaorders across
         # some 800 chunk boundaries, against one chunk
         pop = Population([TraderSpec(0.4, tab({1: 0.3, 4: 0.3, 9: 0.4})),
                           TraderSpec(0.3, DiscretePareto(tail_exponent=0.8)),
                           TraderSpec(0.3, Degenerate())])
-        runs = [simulate(pop, 50_000, seed=25, init_mode="fresh_draw", chunk_size=c)
+        runs = [simulate_in_chunks(monkeypatch, c, pop, 50_000, seed=25,
+                                   init_mode="fresh_draw")
                 for c in (61, 1 << 20)]
         for out in runs:
             for i in range(pop.size):
@@ -372,22 +379,22 @@ class TestSimulate:
 
 class TestDeterminism:
     @pytest.mark.parametrize("init_mode", ["stationary", "fresh_draw"])
-    def test_chunk_size_does_not_change_output(self, init_mode):
+    def test_chunk_size_does_not_change_output(self, init_mode, monkeypatch):
         pop = mixed_population()
-        chunkings = ({"chunk_size": 17}, {"chunk_size": 4096}, {})  # {} is the default
-        runs = [simulate(pop, 30_000, seed=27, init_mode=init_mode, **kw)
-                for kw in chunkings]
+        runs = [simulate_in_chunks(monkeypatch, c, pop, 30_000, seed=27,
+                                   init_mode=init_mode)
+                for c in (17, 4096, engine._CHUNK)]
         assert runs[0].burn_in == (0 if init_mode == "stationary" else 100)
         for other in runs[1:]:
             assert_same_run(runs[0], other)
 
-    def test_chunk_size_does_not_change_output_past_16_bit_ids(self):
+    def test_chunk_size_does_not_change_output_past_16_bit_ids(self, monkeypatch):
         # M > 65536 takes int32 trader ids in selection, sort and log regrouping
         m, law = 70_000, tab({1: 0.5, 4: 0.5})
         pop = Population([TraderSpec(0.1 * (1 + i % 3), law)
                           for i in range(m)])
-        chunkings = ({"chunk_size": 17}, {"chunk_size": 4096}, {})
-        runs = [simulate(pop, 20_000, seed=28, **kw) for kw in chunkings]
+        runs = [simulate_in_chunks(monkeypatch, c, pop, 20_000, seed=28)
+                for c in (17, 4096, engine._CHUNK)]
         assert runs[0].selection_counts[1 << 16 :].sum() > 0
         assert sum(log.size for log in runs[0].metaorder_log[1 << 16 :]) > 0
         for other in runs[1:]:
@@ -399,9 +406,10 @@ class TestDeterminism:
         assert runs[0].final_state.progress.tolist() == prog
 
     @pytest.mark.parametrize("init_mode", ["stationary", "fresh_draw"])
-    def test_matches_the_step_by_step_reference(self, init_mode):
+    def test_matches_the_step_by_step_reference(self, init_mode, monkeypatch):
         pop = mixed_population()
-        out = simulate(pop, 20_000, seed=31, init_mode=init_mode, chunk_size=4096)
+        out = simulate_in_chunks(monkeypatch, 4096, pop, 20_000, seed=31,
+                                 init_mode=init_mode)
         signs, log, rem, prog = serial_reference(pop, 20_000, 31, init_mode,
                                                  out.burn_in)
         assert out.signs.tobytes() == signs.tobytes()
@@ -411,11 +419,12 @@ class TestDeterminism:
         assert out.final_state.progress.tolist() == prog
         assert out.final_state.market_sign == signs[-1]
 
-    def test_lengths_at_the_int64_cap(self):
+    def test_lengths_at_the_int64_cap(self, monkeypatch):
         # tail exponent 0.05 draws about one length in eight at the 2**62 cap,
         # so the running sum over a batch would overflow int64 unclipped
         pop = Population.homogeneous(50, DiscretePareto(tail_exponent=0.05))
-        out = simulate(pop, 20_000, seed=32, init_mode="fresh_draw", chunk_size=4096)
+        out = simulate_in_chunks(monkeypatch, 4096, pop, 20_000, seed=32,
+                                 init_mode="fresh_draw")
         signs, log, rem, prog = serial_reference(pop, 20_000, 32, "fresh_draw",
                                                  out.burn_in)
         assert out.signs.tobytes() == signs.tobytes()

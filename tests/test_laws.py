@@ -161,6 +161,12 @@ class TestSampling:
         se = math.sqrt(p * (1 - p) / draws.size)
         assert abs(np.mean(draws >= 10) - p) < 4 * se
 
+    def test_pareto_length_at_the_largest_engine_uniform_is_capped(self):
+        # 1 - 2**-53 is the largest uniform the engine draws; at alpha = 0.05
+        # the power overflows, and the cap must apply without a warning
+        lengths = DiscretePareto(0.05).lengths_from_uniform(np.array([1 - 2**-53]))
+        assert lengths.tolist() == [2**62]
+
     def test_exponential_mean_monte_carlo(self):
         rng = np.random.default_rng(102)
         law = Exponential(decay_length=5.0)

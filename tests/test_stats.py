@@ -22,7 +22,6 @@ from lmfsim.stats import (
     EmpiricalDistribution,
     acf_direct,
     aggregate_metaorder_distribution,
-    aggregated_weights,
     fit_distribution_tail,
     fit_powerlaw,
     log_bin_curve,
@@ -177,16 +176,6 @@ class TestEmpiricalDistribution:
         assert dist.support.tolist() == [1, 3, 7]
         assert dist.counts.tolist() == [2, 3, 1]
         assert dist.total == 6
-        assert np.allclose(dist.pdf(), [2 / 6, 3 / 6, 1 / 6])
-        assert np.allclose(dist.ccdf(), [1.0, 4 / 6, 1 / 6])
-
-    def test_ccdf_at_between_support_points(self):
-        dist = EmpiricalDistribution.from_samples([1, 1, 5, 9])
-        assert dist.ccdf_at(1) == 1.0
-        assert dist.ccdf_at(2) == 0.5
-        assert dist.ccdf_at(5) == 0.5
-        assert dist.ccdf_at(6) == 0.25
-        assert dist.ccdf_at(10) == 0.0
 
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(3)
@@ -212,26 +201,6 @@ class TestEmpiricalDistribution:
 
 
 class TestAggregation:
-    def test_weights_rate_formula(self):
-        # rates lam_i / mean_i: (0.5/2, 0.5/4) -> (2/3, 1/3)
-        pop = Population([
-            TraderSpec(0.5, tab({2: 1.0})),
-            TraderSpec(0.5, tab({4: 1.0})),
-        ])
-        assert np.allclose(aggregated_weights(pop), [2 / 3, 1 / 3])
-
-    def test_weights_subset_and_errors(self):
-        pop = Population([
-            TraderSpec(0.2, tab({2: 1.0})),
-            TraderSpec(0.3, tab({3: 1.0})),
-            TraderSpec(0.5, tab({5: 1.0})),
-        ])
-        sub = aggregated_weights(pop, traders=[0, 2])
-        assert sub.sum() == pytest.approx(1.0)
-        assert sub[0] == pytest.approx((0.2 / 2) / (0.2 / 2 + 0.5 / 5))
-        with pytest.raises(DomainError):
-            aggregated_weights(pop, traders=[])
-
     def test_pooled_distribution_matches_weights(self):
         pop = Population([
             TraderSpec(0.5, tab({2: 1.0})),
@@ -245,17 +214,6 @@ class TestAggregation:
         # pooled mixture of point masses at the rate weights
         p2 = dist.counts[dist.support == 2].sum() / dist.total
         assert p2 == pytest.approx(2 / 3, abs=0.01)
-
-    def test_subset_selects_one_trader(self):
-        pop = Population([
-            TraderSpec(0.5, tab({2: 1.0})),
-            TraderSpec(0.5, tab({4: 1.0})),
-        ])
-        out = simulate(pop, 50_000, seed=100)
-        only = aggregate_metaorder_distribution(out, traders=[1])
-        # everything except the censored first completion has length 4
-        assert only.counts[only.support != 4].sum() <= 1
-        assert only.counts[only.support == 4].sum() >= only.total - 1
 
     def test_empty_log_raises(self):
         pop = Population([TraderSpec(1.0, tab({2: 1.0}))])

@@ -37,7 +37,6 @@ from lmfsim.theory import (
     ValidityWarning,
     default_lags,
     exponential_acf,
-    intensity_superposition_exponent,
     prefactor_upper,
     superposition_prefactor,
     superposition_prefactor_homogeneous,
@@ -486,13 +485,6 @@ class TestHeuristicIdentity:
 
     def test_degenerate_heuristic_zero(self):
         assert np.all(heuristic_acf(0.3, Degenerate(), [1, 2, 3]).values == 0.0)
-
-
-class TestIntensityExponent:
-    def test_values(self):
-        assert intensity_superposition_exponent(0.5) == pytest.approx(1.5)
-        assert intensity_superposition_exponent(1.0) == pytest.approx(1.0)
-        assert intensity_superposition_exponent(1.5) == pytest.approx(0.5)
 
 
 class TestAcfCurve:
