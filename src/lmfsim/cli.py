@@ -124,12 +124,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except LmfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_MODEL
 
 
 if __name__ == "__main__":

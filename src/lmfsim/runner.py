@@ -126,6 +126,8 @@ def read_acf_csv(path) -> AcfCurve:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (StopIteration, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed ACF CSV {path}: {exc}") from exc
+    if not lags:
+        raise ConfigError(f"ACF CSV {path} has no data rows")
     return AcfCurve(
         lags=np.asarray(lags),
         values=np.asarray(values),
@@ -139,13 +141,23 @@ def write_theory_csv(path, curves: list[AcfCurve]):
                       ((c.lags, c.values, [c.kind] * len(c)) for c in curves))
 
 
-def _write_lengths_csv(path, logs_per_replica):
-    """One (trader_id, length) row per logged metaorder, replica by replica."""
-    return _write_csv(path, ["trader_id", "length"], (
-        (np.repeat(np.arange(len(logs)), [log.size for log in logs]),
-         np.concatenate(logs))
-        for logs in logs_per_replica
-    ))
+def _write_lengths_npy(path, logs_per_replica):
+    """An (n, 2) int64 ``.npy`` of (trader_id, length), one row per logged
+    metaorder, replica by replica, written through one 1 MB buffer so that
+    the log is never held twice in memory."""
+    rows = sum(log.size for logs in logs_per_replica for log in logs)
+    block = np.empty((1 << 16, 2), dtype=np.int64)
+    with open(path, "wb") as fh:
+        header = {"descr": block.dtype.str, "fortran_order": False, "shape": (rows, 2)}
+        np.lib.format.write_array_header_1_0(fh, header)
+        for logs in logs_per_replica:
+            for trader, log in enumerate(logs):
+                for start in range(0, log.size, len(block)):
+                    part = block[:log.size - start]
+                    part[:, 0] = trader
+                    part[:, 1] = log[start:start + len(block)]
+                    fh.write(part)
+    return Path(path)
 
 
 def _write_signs(path, signs: np.ndarray, meta: dict) -> str:
@@ -269,8 +281,8 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
             [(dist.support, dist.counts)],
         )
         if result["raw_logs"]:
-            tables["metaorders"] = _write_lengths_csv(
-                out_dir / "metaorders.csv", result["raw_logs"]
+            tables["metaorders"] = _write_lengths_npy(
+                out_dir / "metaorders.npy", result["raw_logs"]
             )
     seeds = {
         "base": config.seed,
@@ -396,18 +408,9 @@ PRESET_SEEDS = {"fig3": 11_000, "fig4": 12_000, "fig5": 13_000, "fig7": 14_000,
 
 def _case_config(label, seed, steps, replicas, max_lag, groups,
                  collect_lengths="none", **kw):
-    return ExperimentConfig.from_dict(
-        {
-            "label": label,
-            "seed": seed,
-            "steps": steps,
-            "replicas": replicas,
-            "max_lag": max_lag,
-            "groups": groups,
-            "collect_lengths": collect_lengths,
-            **kw,
-        }
-    )
+    return ExperimentConfig.from_dict(dict(
+        label=label, seed=seed, steps=steps, replicas=replicas, max_lag=max_lag,
+        groups=groups, collect_lengths=collect_lengths, **kw))
 
 
 def _group(count, mass, law):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from lmfsim.errors import ConfigError
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
     _run_case,
-    _write_lengths_csv,
+    _write_lengths_npy,
     read_acf_csv,
     run_calibrate,
     run_replicated,
@@ -185,7 +186,7 @@ class TestRunSimulate:
 
 
 def per_row_lengths_csv(path, logs_per_replica):
-    """Reference metaorders.csv writer: one csv.writerow call per metaorder."""
+    """Referee for the metaorder log: one csv.writerow call per metaorder."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trader_id", "length"])
@@ -196,18 +197,45 @@ def per_row_lengths_csv(path, logs_per_replica):
 
 
 class TestRunDirectory:
-    def test_lengths_csv_matches_per_row_writer(self, tmp_path):
+    def test_lengths_npy_matches_per_row_writer(self, tmp_path):
         pop = Population([TraderSpec(0.5, Exponential(decay_length=3.0)),
                           TraderSpec(0.2, Tabulated(support=[1], probs=[1.0])),
                           TraderSpec(0.3, DiscretePareto(tail_exponent=1.5))])
         logs = [simulate(pop, 20_000, replica_seed(3, r)).metaorder_log
                 for r in range(2)]
-        # a trader with no logged metaorder contributes no rows
-        logs.append([logs[0][0], np.array([], dtype=np.int64), logs[1][2]])
+        # a trader with no logged metaorder contributes no rows, and neither
+        # does a replica in which no trader logged one
+        empty = np.array([], dtype=np.int64)
+        logs.append([logs[0][0], empty, logs[1][2]])
+        logs.append([empty, empty, empty])
         per_row_lengths_csv(tmp_path / "reference.csv", logs)
-        _write_lengths_csv(tmp_path / "metaorders.csv", logs)
-        assert (tmp_path / "metaorders.csv").read_bytes() == \
-            (tmp_path / "reference.csv").read_bytes()
+        _write_lengths_npy(tmp_path / "metaorders.npy", logs)
+        table = np.load(tmp_path / "metaorders.npy", allow_pickle=False)
+        reference = np.loadtxt(tmp_path / "reference.csv", delimiter=",",
+                               skiprows=1, dtype=np.int64, ndmin=2)
+        assert table.dtype == np.int64
+        assert table.shape == (sum(log.size for r in logs for log in r), 2)
+        assert np.array_equal(table, reference)
+
+    def test_lengths_npy_writer_peak_memory(self, tmp_path):
+        # 1e6 rows over 10 traders, the log being per-trader views of one
+        # array as simulate returns it.  A writer that builds the (n, 2)
+        # table first peaks at 1.5x its bytes and raises the peak memory of
+        # a default run; rows must go out through a small buffer instead
+        lengths = np.arange(1, 1_000_001, dtype=np.int64)
+        logs = [np.split(lengths, np.arange(1, 10) * 100_000)]
+        table_bytes = lengths.size * 2 * 8
+        tracemalloc.start()
+        try:
+            _write_lengths_npy(tmp_path / "metaorders.npy", logs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * table_bytes, peak / table_bytes
+        # every trader's log spans several buffer fills
+        table = np.load(tmp_path / "metaorders.npy", allow_pickle=False)
+        assert np.array_equal(table[:, 0], np.repeat(np.arange(10), 100_000))
+        assert np.array_equal(table[:, 1], lengths)
 
     def test_experiment_case_writes_a_full_run_directory(self, tmp_path):
         cfg = load_config(minimal_config(
@@ -317,6 +345,12 @@ class TestCliExitCodes:
         dest = tmp_path / "theory.csv"
         assert main(["theory", str(cfg_path), "-o", str(dest)]) == EXIT_OK
         assert dest.read_text().startswith("lag,value,kind")
+
+    def test_calibrate_acf_without_rows_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("lag,value\n")
+        assert main(["calibrate", str(path)]) == EXIT_CONFIG
+        assert "no data rows" in capsys.readouterr().err
 
     def test_calibrate_cli(self, tmp_path, capsys):
         lags = np.arange(1, 2001)
