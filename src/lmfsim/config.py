@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +54,18 @@ def _require(condition: bool, message: str):
 
 
 def _number(kind, value, what: str):
-    """``kind(value)``, with a malformed value reported as a ConfigError."""
+    """``kind(value)``, with a malformed value reported as a ConfigError.
+
+    An integer field takes an integral float (JSON ``1e7``) but no fraction,
+    boolean or non-finite value.
+    """
+    noun = "an integer" if kind is int else "a number"
     try:
+        if kind is int and (isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer())):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
 
 
@@ -119,9 +126,6 @@ class GroupConfig:
         _require(isinstance(d["law"], dict), "law must be an object")
         return cls(count=count, intensity=intensity, law=dict(d["law"]))
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "intensity": self.intensity, "law": self.law}
-
     def mass(self) -> float:
         if self.intensity["rule"] == "explicit":
             return float(self.intensities().sum())
@@ -173,15 +177,10 @@ class ExperimentConfig:
     theory_grid: str = "geometric"
     label: str = ""
 
-    _ALLOWED = {
-        "steps", "seed", "max_lag", "groups", "replicas", "init_mode",
-        "collect_lengths", "save_signs", "save_lengths", "theory_grid", "label",
-    }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _require(isinstance(d, dict), "config must be a JSON object")
-        _known_keys(d, cls._ALLOWED, "config")
+        _known_keys(d, {f.name for f in fields(cls)}, "config")
         for key in ("steps", "seed", "max_lag", "groups"):
             _require(key in d, f"config is missing {key!r}")
         _require(isinstance(d["groups"], (list, tuple)), "groups must be a list")
@@ -203,6 +202,7 @@ class ExperimentConfig:
 
     def validate(self):
         _require(self.steps >= 1000, f"steps must be >= 1000, got {self.steps}")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(self.replicas >= 1, f"replicas must be >= 1, got {self.replicas}")
         _require(self.max_lag >= 1, "max_lag must be >= 1")
         _require(
@@ -230,19 +230,7 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "seed": self.seed,
-            "max_lag": self.max_lag,
-            "groups": [g.to_dict() for g in self.groups],
-            "replicas": self.replicas,
-            "init_mode": self.init_mode,
-            "collect_lengths": self.collect_lengths,
-            "save_signs": self.save_signs,
-            "save_lengths": self.save_lengths,
-            "theory_grid": self.theory_grid,
-            "label": self.label,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -125,7 +125,7 @@ class Population:
 
     @cached_property
     def canonical_json(self) -> str:
-        """``describe()`` as sorted-key JSON, serialised once for every digest."""
+        """``describe()`` as sorted-key JSON, serialised on first use."""
         return json.dumps(self.describe(), sort_keys=True)
 
     def digest(self) -> str:
@@ -197,9 +197,7 @@ class SimulationOutput:
     selection_counts: np.ndarray
     final_state: MarketState
     steps: int
-    config_digest: str
-    burn_in: int = 0
-    lengths_collected: np.ndarray = field(default_factory=lambda: np.array([], bool))
+    burn_in: int
 
 
 def init_state(
@@ -445,7 +443,6 @@ def simulate(
     seed,
     *,
     init_mode: str = "stationary",
-    burn_in: int | None = None,
     collect_lengths=True,
     keep_signs: bool = True,
 ) -> SimulationOutput:
@@ -455,15 +452,14 @@ def simulate(
     ----------
     population : Population
     steps : int
-        Number of recorded steps (after any burn-in).
+        Number of recorded steps (after the burn-in).
     seed : int, SeedSequence or Generator
         Source of randomness; the same seed always reproduces the output
         byte for byte, however the steps are chunked.  A Generator is
         advanced by the four words of entropy drawn from it.
     init_mode : {"stationary", "fresh_draw"}
-    burn_in : int, optional
-        Discarded warm-up steps.  Defaults to 0 for stationary starts and to
-        ``ceil(10 / min positive intensity)`` for fresh draws.
+        A stationary start records from the first step; a fresh draw first
+        discards ``ceil(10 / min positive intensity)`` warm-up steps.
     collect_lengths : bool or iterable of trader indices
         Which traders append completed metaorders to the log.
     keep_signs : bool
@@ -475,19 +471,16 @@ def simulate(
 
     m = population.size
     state0 = init_state(population, init_rng, init_mode)
-    if burn_in is None:
-        # a zero-intensity trader is frozen and needs no warm-up
-        lam = population.intensities
-        burn_in = (
-            0
-            if init_mode == "stationary"
-            else int(math.ceil(10.0 / float(lam[lam > 0.0].min())))
-        )
-    if burn_in < 0:
-        raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
+    # a zero-intensity trader is frozen and needs no warm-up
+    lam = population.intensities
+    burn_in = (
+        0
+        if init_mode == "stationary"
+        else int(math.ceil(10.0 / float(lam[lam > 0.0].min())))
+    )
 
-    collect_mask = _normalise_collect(collect_lengths, m)
-    collect = collect_mask if collect_mask.any() else None
+    collect = _normalise_collect(collect_lengths, m)
+    collect = collect if collect.any() else None
     traders = _Traders(population, state0, key)
     sampler = AliasTable.from_weights(population.intensities)
     id_type = np.uint16 if m <= 1 << 16 else np.int32
@@ -545,18 +538,11 @@ def simulate(
         log = [lengths[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
     else:
         log = [np.empty(0, dtype=np.int64)] * m
-    # the old sort_keys layout of {"burn_in", "init_mode", "population", "steps"}
-    payload = (
-        f'{{"burn_in": {json.dumps(burn_in)}, "init_mode": {json.dumps(init_mode)}, '
-        f'"population": {population.canonical_json}, "steps": {json.dumps(steps)}}}'
-    )
     return SimulationOutput(
         signs=signs_out,
         metaorder_log=log,
         selection_counts=selection_counts,
         final_state=final_state,
         steps=steps,
-        config_digest=hashlib.sha256(payload.encode()).hexdigest(),
         burn_in=burn_in,
-        lengths_collected=collect_mask,
     )

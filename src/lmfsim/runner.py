@@ -48,7 +48,6 @@ from .theory import (
 __all__ = [
     "replica_seed",
     "run_simulate",
-    "run_replicated",
     "theory_curves",
     "run_experiment",
     "calibrate_curve",
@@ -190,20 +189,31 @@ def theory_curves(population: Population, max_lag: int, grid: str = "geometric")
     return curves
 
 
-def run_replicated(config: ExperimentConfig, population: Population | None = None,
-                   sign_writer=None) -> dict:
-    """Simulate all replicas of a config and reduce as we go.
+def _run_into(config: ExperimentConfig, out_dir: Path,
+              population: Population | None = None):
+    """Run every replica of a config and write its whole run directory.
 
-    The ACF is estimated per replica on the dense lag grid 1..max_lag and
-    averaged; metaorder logs are reduced to pooled count histograms replica
-    by replica so memory stays bounded.  ``sign_writer(replica, signs)`` is
-    called with each raw series when persistence is requested.
+    This is the only writer of a run directory: the averaged ACF, the theory
+    curves, the pooled length histogram and raw metaorder log when logged,
+    the raw sign series when requested, a sidecar per artifact and
+    ``manifest.json``.  Theory is evaluated first, so a config whose theory
+    fails leaves no directory and simulates nothing.  Each replica's ACF is
+    estimated on the dense lag grid 1..max_lag and its metaorder log reduced
+    to a count histogram before the next replica runs.  Returns the manifest,
+    the population, the averaged ACF, the theory curves and the pooled length
+    distribution (None when nothing was logged).
     """
+    t_start = time.perf_counter()
     population = population or config.build_population()
+    t0 = time.perf_counter()
+    theory = theory_curves(population, config.max_lag, config.theory_grid)
+    t_theory = time.perf_counter() - t0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = config.digest()
     collect = config.collect_mask(population)
     curves, dists, raw_logs = [], [], []
-    selections = np.zeros(population.size, dtype=np.int64)
-    metaorders = 0
+    sign_series = {}  # name -> (path, sha256)
+    selections = 0
     t_sim = t_est = 0.0
     for r in range(config.replicas):
         t0 = time.perf_counter()
@@ -218,71 +228,31 @@ def run_replicated(config: ExperimentConfig, population: Population | None = Non
         t0 = time.perf_counter()
         curves.append(acf_estimate(out, config.max_lag))
         t_est += time.perf_counter() - t0
-        selections += out.selection_counts
+        selections += int(out.selection_counts.sum())
         try:
-            dist = aggregate_metaorder_distribution(out)
-            dists.append(dist)
-            metaorders += dist.total
+            dists.append(aggregate_metaorder_distribution(out))
         except EmptyLog:
             pass
         if config.save_lengths and collect is not False:
             raw_logs.append(out.metaorder_log)
-        if sign_writer is not None:
-            sign_writer(r, out.signs)
+        if config.save_signs:
+            path = out_dir / f"signs_r{r}.bin"
+            meta = {"base_seed": config.seed, "replica": r, "config_digest": digest}
+            sign_series[path.stem] = (path, _write_signs(path, out.signs, meta))
         del out
-    return {
-        "population": population,
-        "curve": average_curves(curves),
-        "replica_curves": curves,
-        "lengths": EmpiricalDistribution.merge(dists) if dists else None,
-        "raw_logs": raw_logs,
-        "selection_counts": selections,
-        "metaorders": metaorders,
-        "timings": {"simulate_s": t_sim, "estimate_s": t_est},
-    }
-
-
-def _run_into(config: ExperimentConfig, out_dir: Path,
-              population: Population | None = None):
-    """Run every replica of a config and write its whole run directory.
-
-    This is the only writer of a run directory: the averaged ACF, the theory
-    curves, the pooled length histogram and raw metaorder log when logged,
-    the raw sign series when requested, a sidecar per artifact and
-    ``manifest.json``.  Each artifact is hashed once.  Returns the manifest,
-    the ``run_replicated`` reduction and the theory curves.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    population = population or config.build_population()
-    digest = config.digest()
-    sign_series = {}  # name -> (path, sha256)
-
-    def sign_writer(r, signs):
-        path = out_dir / f"signs_r{r}.bin"
-        meta = {"base_seed": config.seed, "replica": r, "config_digest": digest}
-        sign_series[path.stem] = (path, _write_signs(path, signs, meta))
-
-    result = run_replicated(
-        config, population, sign_writer=sign_writer if config.save_signs else None
-    )
-    curve = result["curve"]
-
-    t0 = time.perf_counter()
-    theory = theory_curves(population, config.max_lag, config.theory_grid)
-    t_theory = time.perf_counter() - t0
+    curve = average_curves(curves)
+    lengths = EmpiricalDistribution.merge(dists) if dists else None
 
     tables = {"acf": write_acf_csv(out_dir / "acf.csv", curve),
               "theory": write_theory_csv(out_dir / "theory.csv", theory)}
-    if result["lengths"] is not None:
-        dist = result["lengths"]
+    if lengths is not None:
         tables["lengths_hist"] = _write_csv(
             out_dir / "lengths_hist.csv", ["length", "count"],
-            [(dist.support, dist.counts)],
+            [(lengths.support, lengths.counts)],
         )
-        if result["raw_logs"]:
+        if raw_logs:
             tables["metaorders"] = _write_lengths_npy(
-                out_dir / "metaorders.npy", result["raw_logs"]
+                out_dir / "metaorders.npy", raw_logs
             )
     seeds = {
         "base": config.seed,
@@ -310,12 +280,13 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
         "summary": {
             "steps_per_replica": config.steps,
             "replicas": config.replicas,
-            "total_selections": int(result["selection_counts"].sum()),
-            "metaorders_logged": int(result["metaorders"]),
+            "total_selections": selections,
+            "metaorders_logged": lengths.total if lengths is not None else 0,
             "acf_lag1": float(curve.values[0]),
         },
         "timings_s": {
-            **{k: round(v, 3) for k, v in result["timings"].items()},
+            "simulate_s": round(t_sim, 3),
+            "estimate_s": round(t_est, 3),
             "theory_s": round(t_theory, 3),
             "total_s": round(time.perf_counter() - t_start, 3),
         },
@@ -325,7 +296,7 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest, result, theory
+    return manifest, population, curve, theory, lengths
 
 
 def run_simulate(config, out_dir, population: Population | None = None) -> dict:
@@ -468,25 +439,13 @@ def _acf_comparison(steps: int, exact: AcfCurve, curve: AcfCurve):
     }
 
 
-def _run_case(out_dir: Path, cfg):
-    """Run one preset case into ``out_dir/<label>``.
-
-    Returns the population, the replica reduction, the exact market curve on
-    the case's theory grid and the case's entry for the report.
-    """
-    case_dir = out_dir / cfg.label
-    _, res, theory = _run_into(cfg, case_dir)
-    entry = {"dir": str(case_dir), "config_digest": cfg.digest()}
-    return res["population"], res, theory[0], entry
-
-
 def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
     """Homogeneous exponential market: three decay lengths, closed-form check."""
     report = {"name": "fig3", "cases": []}
     for j, decay in enumerate((2.0, 5.0, 10.0)):
         cfg = _case_config(f"exp-decay-{decay:g}", base_seed + j, 10_000_000, 12, 600,
                            [_group(10, 1.0, {"kind": "exponential", "decay_length": decay})])
-        pop, res, exact, manifest = _run_case(out_dir, cfg)
+        _, pop, curve, (exact, *_), _ = _run_into(cfg, out_dir / cfg.label)
         closed = exponential_acf(float(pop.intensities[0]), decay)
         report["cases"].append(
             {
@@ -494,17 +453,18 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
                 "decay_length": decay,
                 "market_prefactor": closed.prefactor * pop.size,
                 "decay_time": closed.decay_time,
-                "comparison": _acf_comparison(cfg.steps, exact, res["curve"]),
-                "manifest": manifest,
+                "comparison": _acf_comparison(cfg.steps, exact, curve),
+                "manifest": {"dir": str(out_dir / cfg.label),
+                             "config_digest": cfg.digest()},
             }
         )
     return report
 
 
 def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
-    pop, res, _, manifest = _run_case(out_dir, cfg)
+    _, pop, curve, _, _ = _run_into(cfg, out_dir / cfg.label)
     window = (100.0, 10_000.0)
-    fit = fit_acf_powerlaw(res["curve"], window)
+    fit = fit_acf_powerlaw(curve, window)
     entry = {
         "label": cfg.label,
         "mu": mu,
@@ -514,7 +474,7 @@ def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
         "fitted_exponent": fit.exponent,
         "fitted_prefactor": fit.prefactor,
         "n_fit_points": fit.n_points,
-        "manifest": manifest,
+        "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
     }
     if 1.0 < alpha < 2.0:
         c0 = prefactor_hetero(pop.intensities[splitter_ids(pop)], alpha)
@@ -556,9 +516,8 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
         cfg = _case_config(f"decay-superposition-theta-{theta}", base_seed + j,
                            10_000_000, 10, 100_000, [_group(1000, 1.0, law)],
                            collect_lengths="all", save_lengths=False)
-        pop, res, _, manifest = _run_case(out_dir, cfg)
-        acf_fit = fit_acf_powerlaw(res["curve"], window)
-        dist = res["lengths"]
+        _, pop, curve, _, dist = _run_into(cfg, out_dir / cfg.label)
+        acf_fit = fit_acf_powerlaw(curve, window)
         max_len = int(dist.support.max())
         pdf_window = (10.0, float(min(1000, max(20, max_len // 10))))
         pdf_fit = fit_distribution_tail(dist, pdf_window)
@@ -570,11 +529,11 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
             "acf_prefactor": acf_fit.prefactor,
             "pdf_window": list(pdf_window),
             "pdf_exponent": pdf_fit.exponent,
-            "metaorders": int(res["metaorders"]),
+            "metaorders": dist.total,
             "expected_acf_exponent": theta - 1.0,
             "expected_pdf_exponent": theta + 1.0,
             "within_validity": quantitative,
-            "manifest": manifest,
+            "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
         }
         if quantitative:
             q0 = superposition_prefactor(pop.intensities, theta)
@@ -610,8 +569,8 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
         }
         cfg = _case_config(f"intensity-superposition-beta-{beta}-decay-{decay}",
                            base_seed + j, 10_000_000, replicas, max_lag, [group])
-        _, res, exact, manifest = _run_case(out_dir, cfg)
-        fit = fit_acf_powerlaw(res["curve"], window)
+        _, _, curve, (exact, *_), _ = _run_into(cfg, out_dir / cfg.label)
+        fit = fit_acf_powerlaw(curve, window)
         exact_fit = fit_acf_powerlaw(exact, window)
         entry = {
             "label": cfg.label,
@@ -621,7 +580,7 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
             "window": list(window),
             "fitted_exponent": fit.exponent,
             "exact_curve_exponent": exact_fit.exponent,
-            "manifest": manifest,
+            "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
         }
         if beta > 0:
             entry["expected_exponent"] = 2.0 - beta
@@ -713,6 +672,8 @@ def run_experiment(name: str, out_dir, base_seed: int | None = None) -> dict:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         )
+    if base_seed is not None and base_seed < 0:
+        raise ConfigError(f"base seed must be >= 0, got {base_seed}")
     out = Path(out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
     if base_seed is None:

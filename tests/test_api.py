@@ -77,3 +77,20 @@ def test_submodule_all_lists_name_existing_objects():
         assert len(module.__all__) == len(set(module.__all__)), module.__name__
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
+
+
+def test_runner_keeps_the_names_the_benchmark_swaps():
+    # bench/worker.py --trace 1 wraps these `lmfsim.runner` globals by name
+    # and calls run_simulate with a prebuilt population
+    import inspect
+
+    from lmfsim import runner
+
+    tree = ast.parse((ROOT / "bench" / "worker.py").read_text())
+    calls = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["LAYER_CALLS"])
+    assert len(calls) >= 6
+    for name in calls:
+        assert callable(getattr(runner, name, None)), name
+    assert "population" in inspect.signature(runner.run_simulate).parameters

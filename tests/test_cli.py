@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +23,10 @@ from lmfsim.engine import simulate
 from lmfsim.errors import ConfigError
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
-    _run_case,
+    _run_into,
     _write_lengths_npy,
     read_acf_csv,
     run_calibrate,
-    run_replicated,
     theory_curves,
     write_acf_csv,
 )
@@ -166,20 +164,20 @@ class TestRunSimulate:
         assert rows[0] == "length,count"
         assert manifest["summary"]["metaorders_logged"] > 0
 
-    def test_replica_averaging_shrinks_error(self):
+    def test_replica_averaging_shrinks_error(self, tmp_path):
         # i.i.d. market: the true ACF is 0, so the RMS across lags measures
         # estimator noise; quadrupling the replicas should halve it
         base = minimal_config(steps=4000, max_lag=40)
         rms = {}
         for k in (2, 8):
             cfg = load_config({**base, "replicas": k})
-            result = run_replicated(cfg)
-            rms[k] = float(np.sqrt(np.mean(result["curve"].values ** 2)))
+            _, _, curve, _, _ = _run_into(cfg, tmp_path / f"r{k}")
+            rms[k] = float(np.sqrt(np.mean(curve.values ** 2)))
             # the attached stderr scales exactly as 1/sqrt(k)
             lone = acf_estimate(
                 simulate(cfg.build_population(), 4000, replica_seed(4321, 0)), 40
             )
-            assert np.allclose(result["curve"].stderr,
+            assert np.allclose(curve.stderr,
                                lone.stderr / np.sqrt(k), rtol=1e-12)
         ratio = rms[2] / rms[8]
         assert 2.0 / 1.3 < ratio < 2.0 * 1.3
@@ -244,12 +242,11 @@ class TestRunDirectory:
             groups=[{"count": 10, "intensity": {"rule": "equal", "mass": 1.0},
                      "law": {"kind": "exponential", "decay_length": 2.0}}],
         ))
-        pop, res, exact, entry = _run_case(tmp_path, cfg)
-        case_dir = Path(entry["dir"])
-        assert case_dir == tmp_path / cfg.label
+        case_dir = tmp_path / cfg.label
+        _, pop, _, (exact, *_), lengths = _run_into(cfg, case_dir)
         manifest = json.loads((case_dir / "manifest.json").read_text())
         assert manifest.keys() == run_simulate(cfg, tmp_path / "cli").keys()
-        assert manifest["config_digest"] == entry["config_digest"]
+        assert manifest["config_digest"] == cfg.digest()
         assert set(manifest["artifacts"]) == {"acf", "theory", "lengths_hist",
                                               "metaorders"}
         for name, artifact in manifest["artifacts"].items():
@@ -263,7 +260,7 @@ class TestRunDirectory:
         rows = (case_dir / "theory.csv").read_text().splitlines()[1:len(exact) + 1]
         assert rows == [f"{lag},{val!r},exact"
                         for lag, val in zip(exact.lags.tolist(), exact.values.tolist())]
-        assert manifest["summary"]["metaorders_logged"] == res["metaorders"]
+        assert manifest["summary"]["metaorders_logged"] == lengths.total
         assert manifest["population_digest"] == pop.digest()
 
 
@@ -381,10 +378,19 @@ class TestCliExitCodes:
         lambda d: d["groups"][0].update(intensity="x"),
         lambda d: d["groups"][0].update(intensity=5),
         lambda d: d.update(save_signs="no"),
+        lambda d: d.update(seed=-1),
+        lambda d: d.update(steps=20000.5),
+        lambda d: d.update(max_lag=99.9),
+        lambda d: d["groups"][0].update(count=2.5),
+        lambda d: d["groups"][0].update(count=True),
+        lambda d: d.update(replicas=True),
+        lambda d: d.update(steps=1e400),
     ], ids=["steps-not-a-number", "count-not-a-number",
             "explicit-intensity-not-a-number", "law-missing-decay-length",
             "groups-not-a-list", "intensity-a-string", "intensity-a-number",
-            "save-signs-not-a-boolean"])
+            "save-signs-not-a-boolean", "seed-negative", "steps-fractional",
+            "max-lag-fractional", "count-fractional", "count-a-boolean",
+            "replicas-a-boolean", "steps-infinite"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()
@@ -394,3 +400,26 @@ class TestCliExitCodes:
         assert main(["simulate", str(bad), "-o", str(tmp_path / "out")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_experiment_seed_exits_with_the_config_code(self, tmp_path,
+                                                                 capsys):
+        assert main(["experiment", "bounds", "--seed", "-1",
+                     "-o", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_theory_failure_exits_before_any_replica(self, tmp_path, monkeypatch):
+        # a fresh-draw start can simulate a Pareto law without a mean, but
+        # its exact curve needs the mean, so the run must stop before simulating
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran before the theory failed")
+
+        monkeypatch.setattr("lmfsim.runner.simulate", no_simulation)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(minimal_config(
+            init_mode="fresh_draw",
+            groups=[{"count": 1, "intensity": {"rule": "equal", "mass": 1.0},
+                     "law": {"kind": "pareto", "alpha": 0.8}}],
+        )))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "-o", str(out)]) == EXIT_MODEL
+        assert not out.exists()

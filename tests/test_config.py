@@ -86,6 +86,19 @@ class TestExperimentConfig:
         assert cfg.digest() == again.digest()
         assert cfg == again
 
+    def test_digest_of_a_known_config(self):
+        # the digest names every run directory; a change of field order,
+        # names or types would silently orphan the runs already written
+        cfg = ExperimentConfig.from_dict(base_dict())
+        assert cfg.digest() == (
+            "8a4b37c821a71be7acec1ebad6b6ebab7f2c6aeb16fa0137828bfba8719c1145")
+
+    def test_integral_floats_are_integers(self):
+        cfg = ExperimentConfig.from_dict(base_dict(steps=1e5, max_lag=100.0))
+        assert (cfg.steps, cfg.max_lag) == (100_000, 100)
+        assert type(cfg.steps) is int and type(cfg.max_lag) is int
+        assert cfg.digest() == ExperimentConfig.from_dict(base_dict()).digest()
+
     def test_digest_is_order_insensitive_but_content_sensitive(self):
         d = base_dict()
         shuffled = dict(reversed(list(d.items())))

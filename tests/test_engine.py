@@ -117,11 +117,6 @@ class TestPopulation:
                                  for lam, t in zip(pop.intensities, pop.traders)]}
         assert pop.digest() == hashlib.sha256(
             json.dumps(described, sort_keys=True).encode()).hexdigest()
-        out = simulate(pop, 300, seed=2, init_mode="fresh_draw")
-        payload = {"population": described, "steps": 300,
-                   "init_mode": "fresh_draw", "burn_in": out.burn_in}
-        assert out.config_digest == hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -262,7 +257,6 @@ class TestSimulate:
         out = simulate(pop, 10_000, seed=17, collect_lengths=[1])
         assert out.metaorder_log[0].size == 0
         assert out.metaorder_log[1].size > 0
-        assert list(out.lengths_collected) == [False, True]
 
     def test_keep_signs_off(self):
         pop = Population.homogeneous(2, Degenerate())
@@ -270,18 +264,14 @@ class TestSimulate:
         assert out.signs is None
         assert out.selection_counts.sum() == 5_000
 
-    def test_burn_in_excluded_from_output(self):
-        pop = Population.homogeneous(1, tab({2: 1.0}))
-        out = simulate(pop, 4_000, seed=19, burn_in=500)
-        assert out.signs.size == 4_000
-        assert out.burn_in == 500
-        assert out.selection_counts.sum() == 4_000
-
     def test_fresh_draw_default_burn_in(self):
         pop = Population([TraderSpec(0.95, tab({2: 1.0})),
                           TraderSpec(0.05, tab({2: 1.0}))])
         out = simulate(pop, 2_000, seed=20, init_mode="fresh_draw")
         assert out.burn_in == math.ceil(10 / 0.05)
+        # the burn-in is excluded from the output
+        assert out.signs.size == 2_000
+        assert out.selection_counts.sum() == 2_000
 
     def test_fresh_draw_burn_in_skips_zero_intensity_traders(self):
         # the default burn-in comes from the positive intensities only
