@@ -264,14 +264,20 @@ class TestSimulate:
         assert out.signs is None
         assert out.selection_counts.sum() == 5_000
 
+    def test_burn_in_excluded_from_output(self):
+        # fresh_draw warms up for ceil(10 / min intensity) = 500 steps
+        pop = Population([TraderSpec(0.98, tab({2: 1.0})),
+                          TraderSpec(0.02, tab({2: 1.0}))])
+        out = simulate(pop, 4_000, seed=19, init_mode="fresh_draw")
+        assert out.signs.size == 4_000
+        assert out.burn_in == 500
+        assert out.selection_counts.sum() == 4_000
+
     def test_fresh_draw_default_burn_in(self):
         pop = Population([TraderSpec(0.95, tab({2: 1.0})),
                           TraderSpec(0.05, tab({2: 1.0}))])
         out = simulate(pop, 2_000, seed=20, init_mode="fresh_draw")
         assert out.burn_in == math.ceil(10 / 0.05)
-        # the burn-in is excluded from the output
-        assert out.signs.size == 2_000
-        assert out.selection_counts.sum() == 2_000
 
     def test_fresh_draw_burn_in_skips_zero_intensity_traders(self):
         # the default burn-in comes from the positive intensities only
