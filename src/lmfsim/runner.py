@@ -304,6 +304,11 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     return _run_into(load_config(config), Path(out_dir), population)[0]
 
 
+def _case_entry(case_dir: Path, config: ExperimentConfig) -> dict:
+    """The report's pointer to a preset case's run directory."""
+    return {"dir": str(case_dir), "config_digest": config.digest()}
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -445,7 +450,8 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
     for j, decay in enumerate((2.0, 5.0, 10.0)):
         cfg = _case_config(f"exp-decay-{decay:g}", base_seed + j, 10_000_000, 12, 600,
                            [_group(10, 1.0, {"kind": "exponential", "decay_length": decay})])
-        _, pop, curve, (exact, *_), _ = _run_into(cfg, out_dir / cfg.label)
+        case_dir = out_dir / cfg.label
+        _, pop, curve, (exact, *_), _ = _run_into(cfg, case_dir)
         closed = exponential_acf(float(pop.intensities[0]), decay)
         report["cases"].append(
             {
@@ -454,15 +460,15 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
                 "market_prefactor": closed.prefactor * pop.size,
                 "decay_time": closed.decay_time,
                 "comparison": _acf_comparison(cfg.steps, exact, curve),
-                "manifest": {"dir": str(out_dir / cfg.label),
-                             "config_digest": cfg.digest()},
+                "manifest": _case_entry(case_dir, cfg),
             }
         )
     return report
 
 
 def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
-    _, pop, curve, _, _ = _run_into(cfg, out_dir / cfg.label)
+    case_dir = out_dir / cfg.label
+    _, pop, curve, _, _ = _run_into(cfg, case_dir)
     window = (100.0, 10_000.0)
     fit = fit_acf_powerlaw(curve, window)
     entry = {
@@ -474,7 +480,7 @@ def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
         "fitted_exponent": fit.exponent,
         "fitted_prefactor": fit.prefactor,
         "n_fit_points": fit.n_points,
-        "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
+        "manifest": _case_entry(case_dir, cfg),
     }
     if 1.0 < alpha < 2.0:
         c0 = prefactor_hetero(pop.intensities[splitter_ids(pop)], alpha)
@@ -516,7 +522,8 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
         cfg = _case_config(f"decay-superposition-theta-{theta}", base_seed + j,
                            10_000_000, 10, 100_000, [_group(1000, 1.0, law)],
                            collect_lengths="all", save_lengths=False)
-        _, pop, curve, _, dist = _run_into(cfg, out_dir / cfg.label)
+        case_dir = out_dir / cfg.label
+        _, pop, curve, _, dist = _run_into(cfg, case_dir)
         acf_fit = fit_acf_powerlaw(curve, window)
         max_len = int(dist.support.max())
         pdf_window = (10.0, float(min(1000, max(20, max_len // 10))))
@@ -533,7 +540,7 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
             "expected_acf_exponent": theta - 1.0,
             "expected_pdf_exponent": theta + 1.0,
             "within_validity": quantitative,
-            "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
+            "manifest": _case_entry(case_dir, cfg),
         }
         if quantitative:
             q0 = superposition_prefactor(pop.intensities, theta)
@@ -569,7 +576,8 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
         }
         cfg = _case_config(f"intensity-superposition-beta-{beta}-decay-{decay}",
                            base_seed + j, 10_000_000, replicas, max_lag, [group])
-        _, _, curve, (exact, *_), _ = _run_into(cfg, out_dir / cfg.label)
+        case_dir = out_dir / cfg.label
+        _, _, curve, (exact, *_), _ = _run_into(cfg, case_dir)
         fit = fit_acf_powerlaw(curve, window)
         exact_fit = fit_acf_powerlaw(exact, window)
         entry = {
@@ -580,7 +588,7 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
             "window": list(window),
             "fitted_exponent": fit.exponent,
             "exact_curve_exponent": exact_fit.exponent,
-            "manifest": {"dir": str(out_dir / cfg.label), "config_digest": cfg.digest()},
+            "manifest": _case_entry(case_dir, cfg),
         }
         if beta > 0:
             entry["expected_exponent"] = 2.0 - beta

@@ -23,6 +23,7 @@ from lmfsim.engine import simulate
 from lmfsim.errors import ConfigError
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
+    _case_entry,
     _run_into,
     _write_lengths_npy,
     read_acf_csv,
@@ -244,9 +245,11 @@ class TestRunDirectory:
         ))
         case_dir = tmp_path / cfg.label
         _, pop, _, (exact, *_), lengths = _run_into(cfg, case_dir)
+        entry = _case_entry(case_dir, cfg)
+        assert entry["dir"] == str(tmp_path / cfg.label)
         manifest = json.loads((case_dir / "manifest.json").read_text())
         assert manifest.keys() == run_simulate(cfg, tmp_path / "cli").keys()
-        assert manifest["config_digest"] == cfg.digest()
+        assert manifest["config_digest"] == entry["config_digest"] == cfg.digest()
         assert set(manifest["artifacts"]) == {"acf", "theory", "lengths_hist",
                                               "metaorders"}
         for name, artifact in manifest["artifacts"].items():
