@@ -40,7 +40,9 @@ count), so that per trader
 
     sum(logged lengths) + final progress == selection count
 
-holds exactly.
+holds exactly.  The log is flat: trader i's logged lengths are
+``lengths[offsets[i]:offsets[i + 1]]``, and ``np.diff(offsets)`` gives the
+per-trader counts.
 """
 
 from __future__ import annotations
@@ -190,10 +192,18 @@ class MarketState:
 
 @dataclass
 class SimulationOutput:
-    """Everything a run produces besides file artifacts."""
+    """Everything a run produces besides file artifacts.
+
+    The metaorder log is flat: ``lengths`` (int64) holds the logged lengths
+    grouped by trader, each trader's in completion order, and ``offsets``
+    (int64, M + 1 entries) bounds them, so trader i's log is
+    ``lengths[offsets[i]:offsets[i + 1]]`` and ``np.diff(offsets)`` counts
+    each trader's logged metaorders.
+    """
 
     signs: np.ndarray | None
-    metaorder_log: list[np.ndarray]
+    lengths: np.ndarray
+    offsets: np.ndarray
     selection_counts: np.ndarray
     final_state: MarketState
     steps: int
@@ -489,7 +499,8 @@ def simulate(
 
     signs_out = np.empty(steps, dtype=np.int8) if keep_signs else None
     selection_counts = np.zeros(m, dtype=np.int64)
-    logged = []  # (trader, length) per chunk, each in trader order
+    # (trader, length) per chunk, each in trader order
+    logged = [(np.empty(0, id_type), np.empty(0, np.int64))]
     market_sign = state0.market_sign
 
     def run_span(total: int, recording: bool):
@@ -529,18 +540,14 @@ def simulate(
         remaining=traders.remaining,
         progress=traders.progress,
     )
-    if logged:
-        owner = np.concatenate([o for o, _ in logged])
-        lengths = np.concatenate([v for _, v in logged])
-        logged.clear()
-        lengths = lengths[np.argsort(owner, kind="stable")]
-        bounds = np.cumsum(np.bincount(owner, minlength=m)).tolist()
-        log = [lengths[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
-    else:
-        log = [np.empty(0, dtype=np.int64)] * m
+    owner, lengths = (np.concatenate(x) for x in zip(*logged))
+    logged.clear()
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=m), out=offsets[1:])
     return SimulationOutput(
         signs=signs_out,
-        metaorder_log=log,
+        lengths=lengths[np.argsort(owner, kind="stable")],
+        offsets=offsets,
         selection_counts=selection_counts,
         final_state=final_state,
         steps=steps,

@@ -374,6 +374,13 @@ class Tabulated(MetaorderLaw):
         }
 
 
+def _real(value) -> float:
+    """``float(value)`` of a JSON number; a boolean is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def law_from_config(config: dict) -> MetaorderLaw:
     """Build a law from its JSON-style description (see ``as_config``)."""
     if not isinstance(config, dict) or "kind" not in config:
@@ -383,9 +390,9 @@ def law_from_config(config: dict) -> MetaorderLaw:
         if kind == "degenerate":
             return Degenerate()
         if kind == "exponential":
-            return Exponential(decay_length=float(config["decay_length"]))
+            return Exponential(decay_length=_real(config["decay_length"]))
         if kind == "pareto":
-            return DiscretePareto(tail_exponent=float(config["alpha"]))
+            return DiscretePareto(tail_exponent=_real(config["alpha"]))
         if kind == "tabulated":
             atoms = config["pmf"]
             support = [a[0] for a in atoms]

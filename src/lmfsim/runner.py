@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -76,27 +77,21 @@ def replica_seed(base_seed: int, replica: int) -> np.random.SeedSequence:
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_csv(path, header, blocks):
     """Write ``header``, then one row per index of each block's equal-length columns.
 
     Columns go through ``tolist`` so that ints are written as ints and floats
-    by their shortest round-tripping ``repr``.
+    by their shortest round-tripping ``repr``.  Returns (path, sha256).
     """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for columns in blocks:
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    data = text.getvalue().encode()
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for columns in blocks:
-            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-    return path
+    path.write_bytes(data)
+    return path, hashlib.sha256(data).hexdigest()
 
 
 def write_acf_csv(path, curve: AcfCurve):
@@ -142,31 +137,36 @@ def write_theory_csv(path, curves: list[AcfCurve]):
 
 def _write_lengths_npy(path, logs_per_replica):
     """An (n, 2) int64 ``.npy`` of (trader_id, length), one row per logged
-    metaorder, replica by replica, written through one 1 MB buffer so that
-    the log is never held twice in memory."""
-    rows = sum(log.size for logs in logs_per_replica for log in logs)
+    metaorder, from each replica's flat log ``(lengths, offsets)`` in turn,
+    written through one 1 MB buffer so that the log is never held twice in
+    memory.  Returns the path and the sha256 of the bytes written."""
+    rows = sum(lengths.size for lengths, _ in logs_per_replica)
     block = np.empty((1 << 16, 2), dtype=np.int64)
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": block.dtype.str, "fortran_order": False, "shape": (rows, 2)})
+    digest = hashlib.sha256(head.getvalue())
     with open(path, "wb") as fh:
-        header = {"descr": block.dtype.str, "fortran_order": False, "shape": (rows, 2)}
-        np.lib.format.write_array_header_1_0(fh, header)
-        for logs in logs_per_replica:
-            for trader, log in enumerate(logs):
-                for start in range(0, log.size, len(block)):
-                    part = block[:log.size - start]
-                    part[:, 0] = trader
-                    part[:, 1] = log[start:start + len(block)]
-                    fh.write(part)
-    return Path(path)
+        fh.write(head.getvalue())
+        for lengths, offsets in logs_per_replica:
+            for start in range(0, lengths.size, len(block)):
+                part = block[:lengths.size - start]
+                row = np.arange(start, start + len(part))
+                part[:, 0] = np.searchsorted(offsets, row, side="right") - 1
+                part[:, 1] = lengths[start:start + len(part)]
+                fh.write(part)
+                digest.update(part)
+    return Path(path), digest.hexdigest()
 
 
-def _write_signs(path, signs: np.ndarray, meta: dict) -> str:
-    """Write a raw int8 sign series and its sidecar; returns the series' sha256."""
+def _write_signs(path, signs: np.ndarray, meta: dict):
+    """Write a raw int8 sign series and its sidecar; returns (path, sha256)."""
     path = Path(path)
     signs.tofile(path)
-    digest = hashlib.sha256(signs.tobytes()).hexdigest()
+    digest = hashlib.sha256(signs).hexdigest()
     payload = {**meta, "dtype": "int8", "length": int(signs.size), "sha256": digest}
     path.with_suffix(".json").write_text(json.dumps(payload, indent=2))
-    return digest
+    return path, digest
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,10 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
     the raw sign series when requested, a sidecar per artifact and
     ``manifest.json``.  Theory is evaluated first, so a config whose theory
     fails leaves no directory and simulates nothing.  Each replica's ACF is
-    estimated on the dense lag grid 1..max_lag and its metaorder log reduced
-    to a count histogram before the next replica runs.  Returns the manifest,
+    estimated on the dense lag grid 1..max_lag and its flat metaorder log
+    ``(lengths, offsets)`` reduced to a count histogram before the next
+    replica runs.  Every writer hashes the bytes it writes, and the sidecars
+    and the manifest carry those digests.  Returns the manifest,
     the population, the averaged ACF, the theory curves and the pooled length
     distribution (None when nothing was logged).
     """
@@ -234,11 +236,11 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
         except EmptyLog:
             pass
         if config.save_lengths and collect is not False:
-            raw_logs.append(out.metaorder_log)
+            raw_logs.append((out.lengths, out.offsets))
         if config.save_signs:
             path = out_dir / f"signs_r{r}.bin"
             meta = {"base_seed": config.seed, "replica": r, "config_digest": digest}
-            sign_series[path.stem] = (path, _write_signs(path, out.signs, meta))
+            sign_series[path.stem] = _write_signs(path, out.signs, meta)
         del out
     curve = average_curves(curves)
     lengths = EmpiricalDistribution.merge(dists) if dists else None
@@ -260,14 +262,11 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
             {"replica": r, "spawn_key": [r]} for r in range(config.replicas)
         ],
     }
-    artifacts = {}  # name -> (path, sha256)
-    for name, path in tables.items():
-        sha = _sha256(path)
+    for path, sha in tables.values():
         path.with_suffix(".json").write_text(json.dumps(
             {"config_digest": digest, "seeds": seeds, "sha256": sha}, indent=2,
         ))
-        artifacts[name] = (path, sha)
-    artifacts.update(sign_series)
+    artifacts = {**tables, **sign_series}  # name -> (path, sha256)
 
     manifest = {
         "version": _version(),
@@ -363,7 +362,7 @@ def run_calibrate(acf_path, mu: float = 0.8, gamma: float | None = None,
                              window=window)
     report["inputs"] = {
         "acf_csv": str(acf_path),
-        "sha256": _sha256(Path(acf_path)),
+        "sha256": hashlib.sha256(Path(acf_path).read_bytes()).hexdigest(),
         "rows": int(curve.lags.size),
     }
     if out is not None:

@@ -21,7 +21,6 @@ from .theory import AcfCurve
 
 __all__ = [
     "acf_estimate",
-    "acf_direct",
     "average_curves",
     "EmpiricalDistribution",
     "aggregate_metaorder_distribution",
@@ -53,7 +52,7 @@ def _as_signs(series) -> np.ndarray:
     return np.asarray(series)
 
 
-def acf_estimate(series, max_lag: int, *, include_zero: bool = False) -> AcfCurve:
+def acf_estimate(series, max_lag: int) -> AcfCurve:
     """Sample autocorrelation Σ_t eps_t eps_{t+tau} / (T - tau) up to ``max_lag``.
 
     Blocked overlap-save: each block is correlated with itself extended by
@@ -61,7 +60,7 @@ def acf_estimate(series, max_lag: int, *, include_zero: bool = False) -> AcfCurv
     spectra are summed before one irfft, so work is O(T log max_lag) and
     memory a few batches of ``_GROUP_SAMPLES`` samples.  The series must be
     1-d integers in [-1, 1] (else DomainError), so the lag sums are integers
-    and are rounded exactly: the values equal ``acf_direct`` bit for bit.
+    and are rounded exactly: the values equal the direct lag sums bit for bit.
     Requires T > 10 * max_lag so every lag keeps a comfortable sample count.
     The attached standard error is the independent-product approximation
     1/sqrt(T - tau).
@@ -96,24 +95,11 @@ def acf_estimate(series, max_lag: int, *, include_zero: bool = False) -> AcfCurv
     sums = np.rint(raw)
     if np.max(np.abs(raw - sums)) > 0.25:
         raise DomainError(f"lag sums of a length-{t} series lost integer precision")
-    lags = np.arange(0 if include_zero else 1, max_lag + 1, dtype=np.int64)
+    lags = np.arange(1, max_lag + 1, dtype=np.int64)
     values = sums[lags] / (t - lags)
     stderr = 1.0 / np.sqrt(t - lags.astype(np.float64))
     return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr,
                     meta={"steps": t, "replicas": 1})
-
-
-def acf_direct(series, lags) -> np.ndarray:
-    """Direct-sum ACF at selected lags; reference implementation for the FFT path."""
-    x = _as_signs(series).astype(np.float64)
-    t = x.size
-    out = np.empty(len(lags))
-    for k, lag in enumerate(lags):
-        lag = int(lag)
-        if not 0 <= lag < t:
-            raise DomainError(f"lag {lag} outside series of length {t}")
-        out[k] = np.dot(x[: t - lag], x[lag:]) / (t - lag)
-    return out
 
 
 def average_curves(curves: list[AcfCurve]) -> AcfCurve:
@@ -179,10 +165,7 @@ class EmpiricalDistribution:
 
 def aggregate_metaorder_distribution(output: SimulationOutput) -> EmpiricalDistribution:
     """Pool completed metaorder lengths across traders into one distribution."""
-    parts = [log for log in output.metaorder_log if log.size]
-    if not parts:
-        raise EmptyLog("no completed metaorders were logged")
-    return EmpiricalDistribution.from_samples(np.concatenate(parts))
+    return EmpiricalDistribution.from_samples(output.lengths)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class TestAcfCsv:
             kind="simulated",
             stderr=np.array([0.01, 0.01, 0.02]),
         )
-        path = write_acf_csv(tmp_path / "acf.csv", curve)
+        path, _ = write_acf_csv(tmp_path / "acf.csv", curve)
         back = read_acf_csv(path)
         assert np.array_equal(back.lags, curve.lags)
         assert np.array_equal(back.values, curve.values)  # repr survives exactly
@@ -79,7 +79,8 @@ class TestAcfCsv:
     def test_round_trip_without_stderr(self, tmp_path):
         curve = AcfCurve(lags=np.array([1, 2]), values=np.array([0.5, 0.25]),
                          kind="exact")
-        back = read_acf_csv(write_acf_csv(tmp_path / "t.csv", curve))
+        path, _ = write_acf_csv(tmp_path / "t.csv", curve)
+        back = read_acf_csv(path)
         assert back.stderr is None
         assert np.array_equal(back.values, curve.values)
 
@@ -185,7 +186,8 @@ class TestRunSimulate:
 
 
 def per_row_lengths_csv(path, logs_per_replica):
-    """Referee for the metaorder log: one csv.writerow call per metaorder."""
+    """Referee for the metaorder log: one csv.writerow call per metaorder of
+    each replica's per-trader lists."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trader_id", "length"])
@@ -200,29 +202,40 @@ class TestRunDirectory:
         pop = Population([TraderSpec(0.5, Exponential(decay_length=3.0)),
                           TraderSpec(0.2, Tabulated(support=[1], probs=[1.0])),
                           TraderSpec(0.3, DiscretePareto(tail_exponent=1.5))])
-        logs = [simulate(pop, 20_000, replica_seed(3, r)).metaorder_log
-                for r in range(2)]
+        logs = []
+        for r in range(2):
+            out = simulate(pop, 20_000, replica_seed(3, r))
+            logs.append(np.split(out.lengths, out.offsets[1:-1]))
         # a trader with no logged metaorder contributes no rows, and neither
         # does a replica in which no trader logged one
         empty = np.array([], dtype=np.int64)
         logs.append([logs[0][0], empty, logs[1][2]])
         logs.append([empty, empty, empty])
+        # past 2**16 traders, many of them empty, over more than one buffer
+        rng = np.random.default_rng(5)
+        logs.append([rng.integers(1, 1 << 40, size=k)
+                     for k in rng.integers(0, 3, size=70_000)])
+        flat = [(np.concatenate(r), np.cumsum([0, *(log.size for log in r)]))
+                for r in logs]
         per_row_lengths_csv(tmp_path / "reference.csv", logs)
-        _write_lengths_npy(tmp_path / "metaorders.npy", logs)
-        table = np.load(tmp_path / "metaorders.npy", allow_pickle=False)
+        path, sha = _write_lengths_npy(tmp_path / "metaorders.npy", flat)
+        assert sha == hashlib.sha256(path.read_bytes()).hexdigest()
+        table = np.load(path, allow_pickle=False)
         reference = np.loadtxt(tmp_path / "reference.csv", delimiter=",",
                                skiprows=1, dtype=np.int64, ndmin=2)
         assert table.dtype == np.int64
         assert table.shape == (sum(log.size for r in logs for log in r), 2)
+        assert table.shape[0] > 1 << 16
+        assert table[-1, 0] >= 1 << 16
         assert np.array_equal(table, reference)
 
     def test_lengths_npy_writer_peak_memory(self, tmp_path):
-        # 1e6 rows over 10 traders, the log being per-trader views of one
-        # array as simulate returns it.  A writer that builds the (n, 2)
+        # 1e6 rows over 10 traders, the log being the flat (lengths,
+        # offsets) pair simulate returns.  A writer that builds the (n, 2)
         # table first peaks at 1.5x its bytes and raises the peak memory of
         # a default run; rows must go out through a small buffer instead
         lengths = np.arange(1, 1_000_001, dtype=np.int64)
-        logs = [np.split(lengths, np.arange(1, 10) * 100_000)]
+        logs = [(lengths, np.arange(11) * 100_000)]
         table_bytes = lengths.size * 2 * 8
         tracemalloc.start()
         try:
@@ -298,7 +311,7 @@ class TestCalibration:
         lags = np.arange(1, 2001)
         c0 = prefactor_homogeneous(0.8, 10, 1.5)
         curve = AcfCurve(lags=lags, values=c0 * lags**-0.5, kind="simulated")
-        acf_path = write_acf_csv(tmp_path / "obs.csv", curve)
+        acf_path, _ = write_acf_csv(tmp_path / "obs.csv", curve)
         out = tmp_path / "report.json"
         report = run_calibrate(acf_path, mu=0.8, out=out)
         assert report["min_splitter_count"] == pytest.approx(10, rel=0.02)
@@ -309,7 +322,7 @@ class TestCalibration:
     def test_alpha_and_gamma_conflict(self, tmp_path):
         lags = np.arange(1, 2001)
         curve = AcfCurve(lags=lags, values=1.0 * lags**-0.5, kind="simulated")
-        path = write_acf_csv(tmp_path / "o.csv", curve)
+        path, _ = write_acf_csv(tmp_path / "o.csv", curve)
         with pytest.raises(ConfigError):
             run_calibrate(path, gamma=0.5, alpha=1.5)
         # alpha alone is shorthand for gamma = alpha - 1
@@ -356,7 +369,7 @@ class TestCliExitCodes:
         lags = np.arange(1, 2001)
         c0 = prefactor_homogeneous(0.8, 10, 1.5)
         curve = AcfCurve(lags=lags, values=c0 * lags**-0.5, kind="simulated")
-        path = write_acf_csv(tmp_path / "obs.csv", curve)
+        path, _ = write_acf_csv(tmp_path / "obs.csv", curve)
         assert main(["calibrate", str(path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["min_splitter_count"] == pytest.approx(10, rel=0.02)
@@ -368,7 +381,7 @@ class TestCliExitCodes:
         # a fit with too few usable points is a model-level failure
         curve = AcfCurve(lags=np.arange(1, 2001),
                          values=np.full(2000, -1.0), kind="simulated")
-        path = write_acf_csv(tmp_path / "neg.csv", curve)
+        path, _ = write_acf_csv(tmp_path / "neg.csv", curve)
         assert main(["calibrate", str(path)]) == EXIT_MODEL
 
     @pytest.mark.parametrize("break_config", [
@@ -388,12 +401,19 @@ class TestCliExitCodes:
         lambda d: d["groups"][0].update(count=True),
         lambda d: d.update(replicas=True),
         lambda d: d.update(steps=1e400),
+        lambda d: d["groups"][0].update(intensity={"rule": "equal", "mass": True}),
+        lambda d: d["groups"][0].update(
+            law={"kind": "exponential", "decay_length": True}),
+        lambda d: d["groups"][0].update(law={"kind": "pareto", "alpha": True}),
+        lambda d: d["groups"][0].update(law={
+            "kind": "exponential", "decay_length": {"rule": "pareto", "theta": True}}),
     ], ids=["steps-not-a-number", "count-not-a-number",
             "explicit-intensity-not-a-number", "law-missing-decay-length",
             "groups-not-a-list", "intensity-a-string", "intensity-a-number",
             "save-signs-not-a-boolean", "seed-negative", "steps-fractional",
             "max-lag-fractional", "count-fractional", "count-a-boolean",
-            "replicas-a-boolean", "steps-infinite"])
+            "replicas-a-boolean", "steps-infinite", "mass-a-boolean",
+            "decay-length-a-boolean", "alpha-a-boolean", "theta-a-boolean"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()

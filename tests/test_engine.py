@@ -46,14 +46,23 @@ def mixed_population():
 
 def assert_same_run(a, b):
     assert a.signs.tobytes() == b.signs.tobytes()
-    assert len(a.metaorder_log) == len(b.metaorder_log)
-    for x, y in zip(a.metaorder_log, b.metaorder_log):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.lengths, b.lengths)
+    assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.selection_counts, b.selection_counts)
     assert a.final_state.market_sign == b.final_state.market_sign
     for name in ("signs", "remaining", "progress"):
         assert np.array_equal(getattr(a.final_state, name),
                               getattr(b.final_state, name)), name
+
+
+def trader_log(out, i):
+    """Trader i's logged metaorder lengths from the flat log."""
+    return out.lengths[out.offsets[i]:out.offsets[i + 1]]
+
+
+def per_trader_logs(out):
+    """The flat log as one list of lengths per trader, the referee's form."""
+    return [x.tolist() for x in np.split(out.lengths, out.offsets[1:-1])]
 
 
 def simulate_in_chunks(monkeypatch, chunk, *args, **kwargs):
@@ -214,7 +223,7 @@ class TestSimulate:
     def test_fixed_length_runs(self):
         pop = Population.homogeneous(1, tab({3: 1.0}))
         out = simulate(pop, 30_000, seed=13)
-        lengths = out.metaorder_log[0]
+        lengths = trader_log(out, 0)
         assert lengths.size > 0
         # the first completion logs only the in-window part of the initial
         # metaorder: the lone trader runs its stationary remaining count out
@@ -241,13 +250,13 @@ class TestSimulate:
         ])
         out = simulate(pop, 200_000, seed=15)
         for i in range(pop.size):
-            logged = int(out.metaorder_log[i].sum())
+            logged = int(trader_log(out, i).sum())
             assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
 
     def test_metaorder_lengths_match_law(self):
         pop = Population.homogeneous(1, DiscretePareto(tail_exponent=1.5))
         out = simulate(pop, 1_000_000, seed=16)
-        lengths = out.metaorder_log[0]
+        lengths = trader_log(out, 0)
         p = 10.0 ** -1.5
         se = math.sqrt(p * (1 - p) / lengths.size)
         assert abs(np.mean(lengths >= 10) - p) < 4 * se
@@ -255,8 +264,8 @@ class TestSimulate:
     def test_collect_lengths_mask(self):
         pop = Population([TraderSpec(0.5, tab({2: 1.0})), TraderSpec(0.5, tab({2: 1.0}))])
         out = simulate(pop, 10_000, seed=17, collect_lengths=[1])
-        assert out.metaorder_log[0].size == 0
-        assert out.metaorder_log[1].size > 0
+        assert trader_log(out, 0).size == 0
+        assert trader_log(out, 1).size > 0
 
     def test_keep_signs_off(self):
         pop = Population.homogeneous(2, Degenerate())
@@ -294,7 +303,7 @@ class TestSimulate:
                           TraderSpec(0.0, tab({2: 1.0}))])
         out = simulate(pop, 5_000, seed=10)
         assert out.selection_counts[1] == 0
-        assert len(out.metaorder_log[1]) == 0
+        assert len(trader_log(out, 1)) == 0
 
     def test_fresh_draw_infinite_mean_law(self):
         # tail exponent 0.8 has no mean length; fresh draws still simulate it
@@ -303,7 +312,7 @@ class TestSimulate:
         out = simulate(pop, 20_000, seed=23, init_mode="fresh_draw")
         assert out.signs.size == 20_000
         for i in range(pop.size):
-            logged = int(out.metaorder_log[i].sum())
+            logged = int(trader_log(out, i).sum())
             assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
 
     def test_tiny_chunks_preserve_the_process_law(self, monkeypatch):
@@ -314,12 +323,12 @@ class TestSimulate:
         assert out.signs.size == 200_000
         assert out.selection_counts.sum() == 200_000
         for i in range(pop.size):
-            logged = int(out.metaorder_log[i].sum())
+            logged = int(trader_log(out, i).sum())
             assert logged + int(out.final_state.progress[i]) == int(out.selection_counts[i])
         curve = acf_estimate(out.signs, 1)
         expected = 4 * 0.25 ** 2 * math.exp(-0.2)
         assert abs(curve.values[0] - expected) < 4.0 / math.sqrt(out.steps)
-        lengths = np.concatenate(out.metaorder_log)
+        lengths = out.lengths
         law = Exponential(decay_length=5.0)
         for probe in (2, 5, 15):
             p = law.ccdf(probe)
@@ -337,10 +346,10 @@ class TestSimulate:
                 for c in (61, 1 << 20)]
         for out in runs:
             for i in range(pop.size):
-                logged = int(out.metaorder_log[i].sum())
+                logged = int(trader_log(out, i).sum())
                 assert (logged + int(out.final_state.progress[i])
                         == int(out.selection_counts[i]))
-        assert np.all(np.isin(runs[0].metaorder_log[0][1:], (1, 4, 9)))
+        assert np.all(np.isin(trader_log(runs[0], 0)[1:], (1, 4, 9)))
         assert_same_run(*runs)
 
     def test_lag1_matches_homogeneous_theory(self):
@@ -392,12 +401,12 @@ class TestDeterminism:
         runs = [simulate_in_chunks(monkeypatch, c, pop, 20_000, seed=28)
                 for c in (17, 4096, engine._CHUNK)]
         assert runs[0].selection_counts[1 << 16 :].sum() > 0
-        assert sum(log.size for log in runs[0].metaorder_log[1 << 16 :]) > 0
+        assert runs[0].offsets[-1] - runs[0].offsets[1 << 16] > 0
         for other in runs[1:]:
             assert_same_run(runs[0], other)
         signs, log, rem, prog = serial_reference(pop, 20_000, 28, "stationary", 0)
         assert runs[0].signs.tobytes() == signs.tobytes()
-        assert [x.tolist() for x in runs[0].metaorder_log] == log
+        assert per_trader_logs(runs[0]) == log
         assert runs[0].final_state.remaining.tolist() == rem
         assert runs[0].final_state.progress.tolist() == prog
 
@@ -409,8 +418,7 @@ class TestDeterminism:
         signs, log, rem, prog = serial_reference(pop, 20_000, 31, init_mode,
                                                  out.burn_in)
         assert out.signs.tobytes() == signs.tobytes()
-        for i in range(pop.size):
-            assert out.metaorder_log[i].tolist() == log[i]
+        assert per_trader_logs(out) == log
         assert out.final_state.remaining.tolist() == rem
         assert out.final_state.progress.tolist() == prog
         assert out.final_state.market_sign == signs[-1]
@@ -424,7 +432,7 @@ class TestDeterminism:
         signs, log, rem, prog = serial_reference(pop, 20_000, 32, "fresh_draw",
                                                  out.burn_in)
         assert out.signs.tobytes() == signs.tobytes()
-        assert [x.tolist() for x in out.metaorder_log] == log
+        assert per_trader_logs(out) == log
         assert out.final_state.remaining.tolist() == rem
         assert max(rem) > 1 << 61  # a trader is stuck in a capped metaorder
 
