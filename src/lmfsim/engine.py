@@ -455,6 +455,7 @@ def simulate(
     init_mode: str = "stationary",
     collect_lengths=True,
     keep_signs: bool = True,
+    on_chunk=None,
 ) -> SimulationOutput:
     """Run the market for ``steps`` steps and return signs plus bookkeeping.
 
@@ -474,6 +475,13 @@ def simulate(
         Which traders append completed metaorders to the log.
     keep_signs : bool
         Store the emitted sign series (int8, one byte per step).
+    on_chunk : callable, optional
+        Called once per recorded chunk of at most ``_CHUNK`` steps, in order,
+        with that chunk's signs (int8, market order).  With ``keep_signs``
+        the chunk is a view into the stored series, otherwise a fresh buffer
+        that the caller may keep; either way the simulator never writes to it
+        again.  The chunks concatenate to the stored series, so a caller can
+        consume the signs while the run goes on without holding all of them.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -524,9 +532,12 @@ def simulate(
                 selection_counts[:] += counts
                 if completed is not None:
                     logged.append((completed[0].astype(id_type), completed[1]))
-                if signs_out is not None:
-                    order = np.argsort(sel, kind="stable")
-                    signs_out[done : done + n][order] = np.repeat(run_sign, run_len)
+                if signs_out is not None or on_chunk is not None:
+                    chunk = (np.empty(n, dtype=np.int8) if signs_out is None
+                             else signs_out[done : done + n])
+                    chunk[np.argsort(sel, kind="stable")] = np.repeat(run_sign, run_len)
+                    if on_chunk is not None:
+                        on_chunk(chunk)
             done += n
 
     if burn_in:

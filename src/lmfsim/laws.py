@@ -397,6 +397,8 @@ def law_from_config(config: dict) -> MetaorderLaw:
             atoms = config["pmf"]
             support = [a[0] for a in atoms]
             probs = [a[1] for a in atoms]
+            if any(isinstance(v, bool) for v in support + probs):
+                raise TypeError("pmf atoms must be numbers, not booleans")
             return Tabulated(support=np.asarray(support), probs=np.asarray(probs))
     except LmfsimError:  # the law's own check, already typed
         raise

@@ -15,6 +15,8 @@ import io
 import json
 import math
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
 
@@ -25,8 +27,9 @@ from .config import ExperimentConfig, load_config, splitter_ids
 from .engine import Population, TraderSpec, simulate
 from .errors import ConfigError, DomainError, EmptyLog, LmfsimError
 from .laws import Degenerate, Tabulated, intensity_rescale_factor
-from .stats import (
+from .stats import (  # acf_estimate: bench/worker.py spans it by this module's name
     EmpiricalDistribution,
+    _AcfSums,
     acf_estimate,
     aggregate_metaorder_distribution,
     average_curves,
@@ -198,8 +201,12 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
     the raw sign series when requested, a sidecar per artifact and
     ``manifest.json``.  Theory is evaluated first, so a config whose theory
     fails leaves no directory and simulates nothing.  Each replica's ACF is
-    estimated on the dense lag grid 1..max_lag and its flat metaorder log
-    ``(lengths, offsets)`` reduced to a count histogram before the next
+    estimated on the dense lag grid 1..max_lag by a ``_AcfSums`` that one
+    helper thread feeds chunk by chunk while ``simulate`` computes the next
+    chunk; the sums are exact integers fed in order, so the curve does not
+    depend on the timing.  The sign series is held whole only when
+    ``save_signs`` writes it.  Each replica's flat metaorder log
+    ``(lengths, offsets)`` is reduced to a count histogram before the next
     replica runs.  Every writer hashes the bytes it writes, and the sidecars
     and the manifest carry those digests.  Returns the manifest,
     the population, the averaged ACF, the theory curves and the pooled length
@@ -218,17 +225,31 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
     selections = 0
     t_sim = t_est = 0.0
     for r in range(config.replicas):
-        t0 = time.perf_counter()
-        out = simulate(
-            population,
-            config.steps,
-            replica_seed(config.seed, r),
-            init_mode=config.init_mode,
-            collect_lengths=collect,
-        )
-        t_sim += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        curves.append(acf_estimate(out, config.max_lag))
+        sums = _AcfSums(config.max_lag)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = deque()
+
+            def feed(chunk):
+                # at most two chunks in flight: one transforming, one queued
+                if len(pending) == 2:
+                    pending.popleft().result()
+                pending.append(helper.submit(sums.feed, chunk))
+
+            t0 = time.perf_counter()
+            out = simulate(
+                population,
+                config.steps,
+                replica_seed(config.seed, r),
+                init_mode=config.init_mode,
+                collect_lengths=collect,
+                keep_signs=config.save_signs,
+                on_chunk=feed,
+            )
+            t_sim += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            while pending:
+                pending.popleft().result()
+        curves.append(sums.curve())
         t_est += time.perf_counter() - t0
         selections += int(out.selection_counts.sum())
         try:

@@ -33,11 +33,13 @@ __all__ = [
 ]
 
 
-# Overlap-save sizes of acf_estimate: each FFT spans at least _MIN_FFT samples
-# and 16 times the max_lag + 1 overlap, so the overlap wastes at most 1/16 of
+# Overlap-save sizes of the lag sums: each FFT spans at least _MIN_FFT samples
+# and 4 times the max_lag + 1 overlap, so the overlap wastes at most 1/4 of
 # the work; one batch of blocks holds about _GROUP_SAMPLES float64 samples.
+# Batches stay small because they are transformed beside a running simulate,
+# whose own temporaries set the peak memory of a run.
 _MIN_FFT = 1 << 14
-_GROUP_SAMPLES = 1 << 20
+_GROUP_SAMPLES = 1 << 17
 
 # Log bins per decade and the fewest usable points of the power-law fits.
 _BINS_PER_DECADE = 8
@@ -52,54 +54,105 @@ def _as_signs(series) -> np.ndarray:
     return np.asarray(series)
 
 
-def acf_estimate(series, max_lag: int) -> AcfCurve:
-    """Sample autocorrelation Σ_t eps_t eps_{t+tau} / (T - tau) up to ``max_lag``.
+class _AcfSums:
+    """Exact lag sums Σ_t x_t x_{t+tau}, tau = 0..max_lag, of a series fed in pieces.
 
-    Blocked overlap-save: each block is correlated with itself extended by
-    the next ``max_lag`` samples through cache-sized rffts, and the block
-    spectra are summed before one irfft, so work is O(T log max_lag) and
-    memory a few batches of ``_GROUP_SAMPLES`` samples.  The series must be
-    1-d integers in [-1, 1] (else DomainError), so the lag sums are integers
-    and are rounded exactly: the values equal the direct lag sums bit for bit.
-    Requires T > 10 * max_lag so every lag keeps a comfortable sample count.
-    The attached standard error is the independent-product approximation
-    1/sqrt(T - tau).
+    Blocked overlap-save: each block of the series is correlated with itself
+    extended by the next ``max_lag`` samples through cache-sized rffts, and
+    the block spectra are summed before one irfft, so work is O(T log
+    max_lag) and memory a few batches of ``_GROUP_SAMPLES`` samples.  A batch
+    (group) of blocks is transformed once the samples it spans have all been
+    fed; the samples after the last transformed group are carried to the next
+    ``feed``, so the groups, and hence the sums, do not depend on how the
+    series was cut.  The samples must be integers in [-1, 1]: the sums are
+    then integers and ``curve`` rounds them exactly.
     """
-    x = _as_signs(series)
-    t = x.size
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    if t <= 10 * max_lag:
-        raise SeriesTooShort(
-            f"series of length {t} too short for max_lag {max_lag}"
-        )
-    if (x.ndim != 1 or not np.issubdtype(x.dtype, np.integer)
-            or x.min() < -1 or x.max() > 1):
-        raise DomainError("acf_estimate needs a 1-d integer series in [-1, 1]")
-    n_fft = scipy.fft.next_fast_len(max(16 * (max_lag + 1), _MIN_FFT), real=True)
-    block = n_fft - max_lag
-    per_group = block * max(1, _GROUP_SAMPLES // n_fft)
-    spectrum = np.zeros(n_fft // 2 + 1, dtype=np.complex128)
-    for start in range(0, t, per_group):
-        n_blocks = -(-min(per_group, t - start) // block)
-        seg = np.zeros(n_blocks * block + max_lag)
-        part = x[start : start + seg.size]
+
+    def __init__(self, max_lag: int):
+        if max_lag < 1:
+            raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+        self.max_lag = max_lag
+        self._n_fft = scipy.fft.next_fast_len(
+            max(4 * (max_lag + 1), _MIN_FFT), real=True)
+        self._block = self._n_fft - max_lag
+        self._per_group = self._block * max(1, _GROUP_SAMPLES // self._n_fft)
+        self._spectrum = np.zeros(self._n_fft // 2 + 1, dtype=np.complex128)
+        self._carry = np.empty(0, dtype=np.int8)  # from the next group's first block on
+        self.steps = 0
+
+    def _group_spectrum(self, part: np.ndarray, heads: int) -> np.ndarray:
+        """Summed spectra of the blocks that start at ``part``'s first ``heads``
+        samples; ``part`` starts at a block edge and past its end reads as 0."""
+        n_fft, block = self._n_fft, self._block
+        seg = np.zeros(-(-heads // block) * block + self.max_lag)
+        part = part[: seg.size]
         seg[: part.size] = part
         windows = np.lib.stride_tricks.sliding_window_view(seg, n_fft)[::block]
         full = scipy.fft.rfft(windows, axis=1)
         head = scipy.fft.rfft(windows[:, :block], n_fft, axis=1)
         np.conjugate(head, out=head)
         head *= full
-        spectrum += head.sum(axis=0)
-    raw = scipy.fft.irfft(spectrum, n_fft)[: max_lag + 1]
-    sums = np.rint(raw)
-    if np.max(np.abs(raw - sums)) > 0.25:
-        raise DomainError(f"lag sums of a length-{t} series lost integer precision")
-    lags = np.arange(1, max_lag + 1, dtype=np.int64)
-    values = sums[lags] / (t - lags)
-    stderr = 1.0 / np.sqrt(t - lags.astype(np.float64))
-    return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr,
-                    meta={"steps": t, "replicas": 1})
+        return head.sum(axis=0)
+
+    def feed(self, chunk: np.ndarray) -> None:
+        """Append ``chunk`` to the series and transform every group it completes."""
+        carry, c = self._carry, self._carry.size
+        total = c + chunk.size
+        span = self._per_group + self.max_lag
+
+        def part(lo, hi):  # samples lo..hi-1 of the carry followed by the chunk
+            if lo >= c:
+                return chunk[lo - c : hi - c]
+            if hi <= c:
+                return carry[lo:hi]
+            return np.concatenate((carry[lo:], chunk[: hi - c]))
+
+        at = 0
+        while total - at >= span:
+            self._spectrum += self._group_spectrum(part(at, at + span), self._per_group)
+            at += self._per_group
+        self._carry = part(at, total).copy()
+        self.steps += chunk.size
+
+    def curve(self) -> AcfCurve:
+        """The sample ACF of everything fed so far (see ``acf_estimate``)."""
+        spectrum = self._spectrum.copy()
+        for at in range(0, self._carry.size, self._per_group):
+            heads = min(self._per_group, self._carry.size - at)
+            spectrum += self._group_spectrum(self._carry[at:], heads)
+        t = self.steps
+        raw = scipy.fft.irfft(spectrum, self._n_fft)[: self.max_lag + 1]
+        sums = np.rint(raw)
+        if np.max(np.abs(raw - sums)) > 0.25:
+            raise DomainError(f"lag sums of a length-{t} series lost integer precision")
+        lags = np.arange(1, self.max_lag + 1, dtype=np.int64)
+        values = sums[lags] / (t - lags)
+        stderr = 1.0 / np.sqrt(t - lags.astype(np.float64))
+        return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr,
+                        meta={"steps": t, "replicas": 1})
+
+
+def acf_estimate(series, max_lag: int) -> AcfCurve:
+    """Sample autocorrelation Σ_t eps_t eps_{t+tau} / (T - tau) up to ``max_lag``.
+
+    The lag sums come from one ``_AcfSums`` fed the whole series.  The series
+    must be 1-d integers in [-1, 1] (else DomainError), so the lag sums are
+    integers and are rounded exactly: the values equal the direct lag sums
+    bit for bit.  Requires T > 10 * max_lag so every lag keeps a comfortable
+    sample count.  The attached standard error is the independent-product
+    approximation 1/sqrt(T - tau).
+    """
+    x = _as_signs(series)
+    sums = _AcfSums(max_lag)
+    if x.size <= 10 * max_lag:
+        raise SeriesTooShort(
+            f"series of length {x.size} too short for max_lag {max_lag}"
+        )
+    if (x.ndim != 1 or not np.issubdtype(x.dtype, np.integer)
+            or x.min() < -1 or x.max() > 1):
+        raise DomainError("acf_estimate needs a 1-d integer series in [-1, 1]")
+    sums.feed(x)
+    return sums.curve()
 
 
 def average_curves(curves: list[AcfCurve]) -> AcfCurve:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,9 +19,10 @@ from lmfsim import (
     replica_seed,
     run_simulate,
 )
+from lmfsim import engine, stats
 from lmfsim.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
 from lmfsim.engine import simulate
-from lmfsim.errors import ConfigError
+from lmfsim.errors import ConfigError, DomainError
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
     _case_entry,
@@ -32,7 +34,7 @@ from lmfsim.runner import (
     write_acf_csv,
 )
 from lmfsim.config import load_config
-from lmfsim.stats import acf_estimate
+from lmfsim.stats import acf_estimate, average_curves
 from lmfsim.theory import AcfCurve, default_lags
 
 
@@ -183,6 +185,66 @@ class TestRunSimulate:
                                lone.stderr / np.sqrt(k), rtol=1e-12)
         ratio = rms[2] / rms[8]
         assert 2.0 / 1.3 < ratio < 2.0 * 1.3
+
+
+def readme_config(**overrides):
+    """The README's run config, shortened; ``_CHUNK`` patched small gives many chunks."""
+    return {**minimal_config(
+        label="readme", steps=300_000, seed=11000, max_lag=600, replicas=2,
+        groups=[{"count": 10, "intensity": {"rule": "equal", "mass": 1.0},
+                 "law": {"kind": "exponential", "decay_length": 5.0}}],
+    ), **overrides}
+
+
+class TestStreamedAcf:
+    """The runner feeds each replica's ACF sums chunk by chunk from a helper thread."""
+
+    def test_acf_csv_equals_the_serial_estimate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 10_007)
+        cfg = load_config(readme_config())
+        run_simulate(cfg, tmp_path / "run")
+        pop = cfg.build_population()
+        serial = average_curves([
+            acf_estimate(simulate(pop, cfg.steps, replica_seed(cfg.seed, r)).signs,
+                         cfg.max_lag)
+            for r in range(cfg.replicas)])
+        path, _ = write_acf_csv(tmp_path / "serial.csv", serial)
+        assert (tmp_path / "run" / "acf.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("failing_feed", [0, 59])
+    def test_a_failed_feed_propagates_and_stops_the_helper(self, tmp_path,
+                                                          monkeypatch, failing_feed):
+        # of the 2 x 30 chunks, a failed first feed is seen while simulating,
+        # a failed last one in the wait after the last simulate returns
+        monkeypatch.setattr(engine, "_CHUNK", 10_007)
+        error = DomainError("feed failed")
+        original, calls = stats._AcfSums.feed, []
+
+        def feed(self, chunk):
+            calls.append(chunk.size)
+            if len(calls) > failing_feed:
+                raise error
+            original(self, chunk)
+
+        monkeypatch.setattr(stats._AcfSums, "feed", feed)
+        threads = threading.active_count()
+        with pytest.raises(DomainError) as caught:
+            run_simulate(readme_config(), tmp_path)
+        assert caught.value is error
+        assert threading.active_count() == threads
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_saved_signs_equal_the_simulated_series(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 10_007)
+        cfg = load_config(readme_config(save_signs=True))
+        manifest = run_simulate(cfg, tmp_path)
+        pop = cfg.build_population()
+        for r in range(cfg.replicas):
+            signs = simulate(pop, cfg.steps, replica_seed(cfg.seed, r)).signs
+            raw = (tmp_path / f"signs_r{r}.bin").read_bytes()
+            assert raw == signs.tobytes()
+            assert manifest["artifacts"][f"signs_r{r}"]["sha256"] == \
+                hashlib.sha256(raw).hexdigest()
 
 
 def per_row_lengths_csv(path, logs_per_replica):
@@ -407,13 +469,16 @@ class TestCliExitCodes:
         lambda d: d["groups"][0].update(law={"kind": "pareto", "alpha": True}),
         lambda d: d["groups"][0].update(law={
             "kind": "exponential", "decay_length": {"rule": "pareto", "theta": True}}),
+        lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[True, 1.0]]}),
+        lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[2, True]]}),
     ], ids=["steps-not-a-number", "count-not-a-number",
             "explicit-intensity-not-a-number", "law-missing-decay-length",
             "groups-not-a-list", "intensity-a-string", "intensity-a-number",
             "save-signs-not-a-boolean", "seed-negative", "steps-fractional",
             "max-lag-fractional", "count-fractional", "count-a-boolean",
             "replicas-a-boolean", "steps-infinite", "mass-a-boolean",
-            "decay-length-a-boolean", "alpha-a-boolean", "theta-a-boolean"])
+            "decay-length-a-boolean", "alpha-a-boolean", "theta-a-boolean",
+            "pmf-support-a-boolean", "pmf-probability-a-boolean"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()

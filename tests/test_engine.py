@@ -19,7 +19,7 @@ from lmfsim import (
     acf_estimate,
     simulate,
 )
-from lmfsim import engine
+from lmfsim import engine, stats
 from lmfsim.engine import init_state
 from lmfsim.errors import DomainError, NonconvergentMean
 from lmfsim.numerics import AliasTable
@@ -373,6 +373,41 @@ class TestSimulate:
             tracemalloc.stop()
         assert out.selection_counts.sum() == 10_000_000
         assert peak < 96 * 2**20, peak
+
+    def test_streamed_run_does_not_hold_the_series(self):
+        # the same 1e7 steps fed chunk by chunk to the ACF sums: without
+        # keep_signs the 10 MB series is never held, only a 1 MiB chunk buffer
+        pop = Population.homogeneous(10, Exponential(decay_length=5.0))
+        peaks, curves = {}, {}
+        for keep in (True, False):
+            sums = stats._AcfSums(600)
+            tracemalloc.start()
+            try:
+                simulate(pop, 10_000_000, seed=26, collect_lengths=False,
+                         keep_signs=keep, on_chunk=sums.feed)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            curves[keep] = sums.curve().values
+        assert peaks[True] - peaks[False] >= 8e6, peaks
+        assert np.array_equal(curves[True], curves[False])
+
+    @pytest.mark.parametrize("keep_signs", [True, False])
+    def test_on_chunk_sees_the_series_in_order(self, keep_signs, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 4099)
+        pop = mixed_population()
+        whole = simulate(pop, 30_000, seed=28, init_mode="fresh_draw").signs
+        chunks = []
+        out = simulate(pop, 30_000, seed=28, init_mode="fresh_draw",
+                       keep_signs=keep_signs, on_chunk=chunks.append)
+        assert [c.size for c in chunks] == [4099] * 7 + [30_000 - 7 * 4099]
+        assert all(c.dtype == np.int8 for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), whole)
+        if keep_signs:
+            assert np.array_equal(out.signs, whole)
+            assert all(np.shares_memory(c, out.signs) for c in chunks)
+        else:
+            assert out.signs is None
 
     def test_errors(self):
         pop = Population.homogeneous(1, Degenerate())

@@ -113,6 +113,30 @@ class TestBlockedAcf:
         assert np.array_equal(curve.lags, np.arange(1, max_lag + 1))
         assert np.array_equal(curve.values, acf_direct(signs, curve.lags))
 
+    @pytest.mark.parametrize("steps, max_lag", [(100_001, 10_000), (123_457, 50)])
+    @pytest.mark.parametrize("group_samples", [None, 1])
+    def test_fed_in_uneven_pieces(self, steps, max_lag, group_samples, monkeypatch):
+        signs = simulated_signs(steps, seed=steps)
+        whole = acf_estimate(signs, max_lag).values
+        if group_samples is not None:  # one block per group: edges every block
+            monkeypatch.setattr(stats, "_GROUP_SAMPLES", group_samples)
+        sums = stats._AcfSums(max_lag)
+        block, group = sums._block, sums._per_group
+        sizes = [1, max_lag - 1, max_lag, block - 1, block + 1]
+        done = sum(sizes)
+        # the next piece runs past the first group edge after the pieces so
+        # far (or to the end of the series if that edge lies beyond it)
+        edge = (done // group + 1) * group
+        sizes += [edge + 7 - done, 1 << 20]
+        pieces = np.split(signs, np.cumsum(sizes))
+        assert sum(p.size for p in pieces) == steps
+        for piece in pieces:
+            sums.feed(piece)
+        curve = sums.curve()
+        assert curve.meta["steps"] == steps
+        assert np.array_equal(curve.values, acf_direct(signs, curve.lags))
+        assert np.array_equal(curve.values, whole)
+
     def test_series_ends_around_a_block_boundary(self):
         # max_lag 600 gives n_fft 16384 and blocks of 15784 samples
         signs = simulated_signs(200_000, seed=8)
@@ -124,7 +148,7 @@ class TestBlockedAcf:
     def test_independent_of_block_sizes(self, monkeypatch):
         signs = simulated_signs(50_000, seed=9)
         default = acf_estimate(signs, 30).values
-        # n_fft 500, one 470-sample block per group: about a hundred groups
+        # n_fft 125, one 95-sample block per group: over five hundred groups
         monkeypatch.setattr(stats, "_MIN_FFT", 1)
         monkeypatch.setattr(stats, "_GROUP_SAMPLES", 1)
         tiny = acf_estimate(signs, 30).values
