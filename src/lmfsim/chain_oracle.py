@@ -23,6 +23,9 @@ from .theory import AcfCurve
 __all__ = ["ChainOracle", "build_oracle", "oracle_acf_small_chain"]
 
 MAX_ORACLE_STATES = 100_000
+# lazy power iteration stops once no stationary mass moves by more than this
+_STATIONARY_TOL = 1e-13
+_MAX_ITERATIONS = 2_000_000
 
 
 def _finite_support(law):
@@ -40,7 +43,6 @@ def _finite_support(law):
 class ChainOracle:
     """Enumerated chain with its stationary distribution."""
 
-    population: Population
     radices: np.ndarray          # per-trader digit count 2 * Lmax_i
     transition: sp.csr_matrix    # row-stochastic, shape (n, n)
     stationary: np.ndarray
@@ -74,26 +76,16 @@ class ChainOracle:
         np.add.at(out, r - 1, self.stationary)
         return out
 
-    def sign_marginal(self, trader: int) -> float:
-        """Stationary mean of trader's metaorder sign (0 by symmetry)."""
-        s = 2.0 * (self.digits[:, trader] % 2) - 1.0
-        return float(np.dot(self.stationary, s))
 
-
-def build_oracle(
-    population: Population,
-    max_states: int = MAX_ORACLE_STATES,
-    tol: float = 1e-13,
-    max_iterations: int = 2_000_000,
-) -> ChainOracle:
+def build_oracle(population: Population) -> ChainOracle:
     """Enumerate the chain of a finite-support population and solve it."""
     m = population.size
     supports = [_finite_support(t.law) for t in population.traders]
     radices = np.array([2 * int(s[0].max()) for s in supports], dtype=np.int64)
     n_states = 2 * int(np.prod(radices.astype(np.float64)))
-    if n_states > max_states:
+    if n_states > MAX_ORACLE_STATES:
         raise StateSpaceTooLarge(
-            f"{n_states} states exceed the budget of {max_states}"
+            f"{n_states} states exceed the budget of {MAX_ORACLE_STATES}"
         )
 
     idx = np.arange(n_states, dtype=np.int64)
@@ -145,21 +137,20 @@ def build_oracle(
     # lazy power iteration: same fixed point, immune to periodic chains
     back = transition.T.tocsr()
     pi = np.full(n_states, 1.0 / n_states)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         nxt = 0.5 * (pi + back @ pi)
         nxt /= nxt.sum()
         delta = float(np.max(np.abs(nxt - pi)))
         pi = nxt
-        if delta < tol:
+        if delta < _STATIONARY_TOL:
             break
     else:
         raise LmfsimError(
-            f"stationary distribution did not converge to {tol} "
-            f"within {max_iterations} iterations"
+            f"stationary distribution did not converge to {_STATIONARY_TOL} "
+            f"within {_MAX_ITERATIONS} iterations"
         )
 
     return ChainOracle(
-        population=population,
         radices=radices,
         transition=transition,
         stationary=pi,
@@ -168,8 +159,6 @@ def build_oracle(
     )
 
 
-def oracle_acf_small_chain(
-    population: Population, lags, max_states: int = MAX_ORACLE_STATES
-) -> AcfCurve:
+def oracle_acf_small_chain(population: Population, lags) -> AcfCurve:
     """Exact ACF of a small finite-support population by full enumeration."""
-    return build_oracle(population, max_states=max_states).acf(lags)
+    return build_oracle(population).acf(lags)

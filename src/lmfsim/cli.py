@@ -82,10 +82,8 @@ def _cmd_theory(args) -> int:
     grid = args.grid or config.theory_grid
     curves = theory_curves(population, config.max_lag, grid)
     if args.out is None:
-        print("lag,value,kind")
-        for curve in curves:
-            for lag, val in zip(curve.lags, curve.values):
-                print(f"{int(lag)},{float(val)!r},{curve.kind}")
+        sys.stdout.flush()
+        write_theory_csv(sys.stdout.buffer, curves)
     else:
         write_theory_csv(args.out, curves)
         print(f"theory curves written to {args.out}")

@@ -56,13 +56,14 @@ def _require(condition: bool, message: str):
 def _number(kind, value, what: str):
     """``kind(value)``, with a malformed value reported as a ConfigError.
 
-    No field takes a boolean.  An integer field takes an integral float (JSON
-    ``1e7``) but no fraction or non-finite value.
+    No field takes a boolean or a string, even a numeric one.  An integer
+    field takes an integral float (JSON ``1e7``) but no fraction or
+    non-finite value.
     """
     noun = "an integer" if kind is int else "a number"
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
+                                              and not value.is_integer()):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError) as exc:

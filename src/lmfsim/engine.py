@@ -117,21 +117,12 @@ class Population:
     def size(self) -> int:
         return len(self.traders)
 
-    def describe(self) -> dict:
-        return {
-            "traders": [
-                {"intensity": lam, "law": t.law.as_config()}
-                for lam, t in zip(self.intensities.tolist(), self.traders)
-            ]
-        }
-
-    @cached_property
-    def canonical_json(self) -> str:
-        """``describe()`` as sorted-key JSON, serialised on first use."""
-        return json.dumps(self.describe(), sort_keys=True)
-
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json.encode()).hexdigest()
+        """sha256 of the traders' normalised intensities and laws as sorted-key JSON."""
+        traders = [{"intensity": lam, "law": t.law.as_config()}
+                   for lam, t in zip(self.intensities.tolist(), self.traders)]
+        payload = json.dumps({"traders": traders}, sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property
     def _law_columns(self) -> "_LawColumns":

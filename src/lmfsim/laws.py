@@ -375,8 +375,8 @@ class Tabulated(MetaorderLaw):
 
 
 def _real(value) -> float:
-    """``float(value)`` of a JSON number; a boolean is not one."""
-    if isinstance(value, bool):
+    """``float(value)`` of a JSON number; a boolean or a string is not one."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -397,8 +397,8 @@ def law_from_config(config: dict) -> MetaorderLaw:
             atoms = config["pmf"]
             support = [a[0] for a in atoms]
             probs = [a[1] for a in atoms]
-            if any(isinstance(v, bool) for v in support + probs):
-                raise TypeError("pmf atoms must be numbers, not booleans")
+            if any(isinstance(v, (bool, str)) for v in support + probs):
+                raise TypeError("pmf atoms must be numbers, not booleans or strings")
             return Tabulated(support=np.asarray(support), probs=np.asarray(probs))
     except LmfsimError:  # the law's own check, already typed
         raise

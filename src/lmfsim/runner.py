@@ -39,9 +39,9 @@ from .stats import (  # acf_estimate: bench/worker.py spans it by this module's 
 )
 from .theory import (
     AcfCurve,
+    _exponential_params,
     default_lags,
     exact_acf_market,
-    exponential_acf,
     hetero_acf_asymptote,
     min_splitter_count,
     prefactor_bounds,
@@ -84,7 +84,8 @@ def _write_csv(path, header, blocks):
     """Write ``header``, then one row per index of each block's equal-length columns.
 
     Columns go through ``tolist`` so that ints are written as ints and floats
-    by their shortest round-tripping ``repr``.  Returns (path, sha256).
+    by their shortest round-tripping ``repr``.  ``path`` may also be a binary
+    stream such as ``sys.stdout.buffer``.  Returns (path, sha256).
     """
     text = io.StringIO()
     writer = csv.writer(text)
@@ -92,8 +93,11 @@ def _write_csv(path, header, blocks):
     for columns in blocks:
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
     data = text.getvalue().encode()
-    path = Path(path)
-    path.write_bytes(data)
+    if hasattr(path, "write"):
+        path.write(data)
+    else:
+        path = Path(path)
+        path.write_bytes(data)
     return path, hashlib.sha256(data).hexdigest()
 
 
@@ -125,12 +129,17 @@ def read_acf_csv(path) -> AcfCurve:
         raise ConfigError(f"malformed ACF CSV {path}: {exc}") from exc
     if not lags:
         raise ConfigError(f"ACF CSV {path} has no data rows")
-    return AcfCurve(
-        lags=np.asarray(lags),
-        values=np.asarray(values),
-        kind="simulated",
-        stderr=np.asarray(stderr) if stderr else None,
-    )
+    if not np.all(np.isfinite(values + stderr)):
+        raise ConfigError(f"ACF CSV {path} has a non-finite value or stderr")
+    try:
+        return AcfCurve(
+            lags=np.asarray(lags),
+            values=np.asarray(values),
+            kind="simulated",
+            stderr=np.asarray(stderr) if stderr else None,
+        )
+    except DomainError as exc:
+        raise ConfigError(f"malformed ACF CSV {path}: {exc}") from exc
 
 
 def write_theory_csv(path, curves: list[AcfCurve]):
@@ -472,13 +481,13 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
                            [_group(10, 1.0, {"kind": "exponential", "decay_length": decay})])
         case_dir = out_dir / cfg.label
         _, pop, curve, (exact, *_), _ = _run_into(cfg, case_dir)
-        closed = exponential_acf(float(pop.intensities[0]), decay)
+        prefactor, decay_time = _exponential_params(float(pop.intensities[0]), decay)
         report["cases"].append(
             {
                 "label": cfg.label,
                 "decay_length": decay,
-                "market_prefactor": closed.prefactor * pop.size,
-                "decay_time": closed.decay_time,
+                "market_prefactor": float(prefactor) * pop.size,
+                "decay_time": float(decay_time),
                 "comparison": _acf_comparison(cfg.steps, exact, curve),
                 "manifest": _case_entry(case_dir, cfg),
             }

@@ -51,17 +51,12 @@ __all__ = [
     "exact_acf_market",
     "homogeneous_market_acf",
     "heuristic_acf",
-    "ExponentialAcf",
-    "exponential_acf",
     "exponential_acf_closed_form",
     "powerlaw_acf_asymptote",
     "hetero_acf_asymptote",
     "prefactor_hetero",
     "prefactor_homogeneous",
-    "prefactor_upper",
     "superposition_prefactor",
-    "superposition_prefactor_homogeneous",
-    "superposition_upper",
     "PrefactorReport",
     "prefactor_bounds",
     "min_splitter_count",
@@ -279,39 +274,11 @@ def heuristic_acf(lam: float, law: MetaorderLaw, lags) -> AcfCurve:
     return _acf_sum(lam, law, lags, 3, lam * (1.0 / law.mean_length()))
 
 
-@dataclass(frozen=True)
-class ExponentialAcf:
-    """Closed-form per-trader ACF for an exponential law: c * exp(-tau/decay_time)."""
-
-    intensity: float
-    decay_length: float
-    prefactor: float
-    decay_time: float
-
-    def values_at(self, lags) -> np.ndarray:
-        lags = np.asarray(lags, dtype=np.float64)
-        return self.prefactor * np.exp(-lags / self.decay_time)
-
-
 def _exponential_params(lam, decay_length):
     """``(prefactor, decay_time)`` of the exponential closed form; vectorised."""
     step = -np.expm1(-1.0 / decay_length)  # 1 - exp(-1/L)
     q = 1.0 - lam * step
     return lam * lam * np.exp(-1.0 / decay_length) / q, -1.0 / np.log(q)
-
-
-def exponential_acf(lam: float, decay_length: float) -> ExponentialAcf:
-    """Closed-form ACF parameters for one exponential splitter.
-
-    C_tau = lam**2 * exp(-1/L) * q**(tau-1) with q = 1 - lam*(1 - exp(-1/L)),
-    rewritten as prefactor * exp(-tau/decay_time).
-    """
-    _check_intensity(lam)
-    if decay_length <= 0.0:
-        raise DomainError(f"decay_length must be positive, got {decay_length}")
-    prefactor, decay_time = _exponential_params(lam, decay_length)
-    return ExponentialAcf(intensity=lam, decay_length=decay_length,
-                          prefactor=float(prefactor), decay_time=float(decay_time))
 
 
 def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
@@ -336,13 +303,18 @@ def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
 
 
 def exponential_acf_closed_form(lam: float, decay_length: float, lags) -> AcfCurve:
-    """Closed-form exponential-splitter ACF evaluated on a lag grid."""
+    """Closed-form ACF of one exponential splitter on a lag grid.
+
+    C_tau = lam**2 * exp(-1/L) * q**(tau-1) with q = 1 - lam*(1 - exp(-1/L)),
+    rewritten as prefactor * exp(-tau/decay_time).
+    """
+    _check_intensity(lam)
+    if decay_length <= 0.0:
+        raise DomainError(f"decay_length must be positive, got {decay_length}")
+    prefactor, decay_time = _exponential_params(lam, decay_length)
     lags = np.asarray(lags, dtype=np.int64)
-    return AcfCurve(
-        lags=lags,
-        values=exponential_acf(lam, decay_length).values_at(lags),
-        kind="exact",
-    )
+    return AcfCurve(lags=lags, values=prefactor * np.exp(-lags / decay_time),
+                    kind="exact")
 
 
 def powerlaw_acf_asymptote(lam: float, alpha: float, lags) -> AcfCurve:
@@ -425,13 +397,6 @@ def prefactor_homogeneous(mu: float, count: int, alpha: float) -> float:
     return mu ** (3.0 - alpha) / (alpha * count ** (2.0 - alpha))
 
 
-def prefactor_upper(mu: float, alpha: float) -> float:
-    """Single-splitter bound mu**(3-alpha)/alpha, the largest reachable prefactor."""
-    _check_pt_exponent(alpha)
-    _check_mass(mu)
-    return mu ** (3.0 - alpha) / alpha
-
-
 def superposition_prefactor(intensities, theta: float) -> float:
     """Exponential-superposition prefactor Gamma(theta) * sum(lam**(3-theta))."""
     _check_pt_exponent(theta)
@@ -440,22 +405,6 @@ def superposition_prefactor(intensities, theta: float) -> float:
         raise DomainError("intensities must be positive and non-empty")
     _check_mass(float(lam.sum()))
     return float(math.gamma(theta) * np.sum(lam ** (3.0 - theta)))
-
-
-def superposition_prefactor_homogeneous(mu: float, count: int, theta: float) -> float:
-    """Superposition prefactor for mass mu spread evenly over ``count`` traders."""
-    _check_pt_exponent(theta)
-    _check_mass(mu)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    return math.gamma(theta) * mu ** (3.0 - theta) / count ** (2.0 - theta)
-
-
-def superposition_upper(mu: float, theta: float) -> float:
-    """Single-trader superposition bound Gamma(theta) * mu**(3-theta)."""
-    _check_pt_exponent(theta)
-    _check_mass(mu)
-    return math.gamma(theta) * mu ** (3.0 - theta)
 
 
 @dataclass(frozen=True)
@@ -490,10 +439,10 @@ def prefactor_bounds(intensities, alpha: float) -> PrefactorReport:
     mu = float(lam.sum())
     count = int(lam.size)
     c0_low = prefactor_homogeneous(mu, count, alpha)
-    c0_high = prefactor_upper(mu, alpha)
+    c0_high = mu ** (3.0 - alpha) / alpha  # a single trader carries all of mu
     q0 = superposition_prefactor(lam, alpha)
-    q0_low = superposition_prefactor_homogeneous(mu, count, alpha)
-    q0_high = superposition_upper(mu, alpha)
+    q0_low = math.gamma(alpha) * mu ** (3.0 - alpha) / count ** (2.0 - alpha)
+    q0_high = math.gamma(alpha) * mu ** (3.0 - alpha)
     tol = 1e-12 * max(c0, c0_high)
     if c0 < c0_low - tol or c0 > c0_high + tol:
         raise LmfsimError(

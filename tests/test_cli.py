@@ -97,6 +97,16 @@ class TestAcfCsv:
         short.write_text("lag,value\n1,notanumber\n")
         with pytest.raises(ConfigError):
             read_acf_csv(short)
+        for i, rows in enumerate(["1,0.5\n2,1.5\n", "1,0.5\n2,inf\n",
+                                  "1,0.5\n2,nan\n", "2,0.5\n1,0.25\n"]):
+            bad = tmp_path / f"bad{i}.csv"
+            bad.write_text("lag,value\n" + rows)
+            with pytest.raises(ConfigError):
+                read_acf_csv(bad)
+        with_se = tmp_path / "se.csv"
+        with_se.write_text("lag,value,stderr\n1,0.5,nan\n")
+        with pytest.raises(ConfigError):
+            read_acf_csv(with_se)
 
 
 class TestTheoryCurves:
@@ -421,11 +431,31 @@ class TestCliExitCodes:
         assert main(["theory", str(cfg_path), "-o", str(dest)]) == EXIT_OK
         assert dest.read_text().startswith("lag,value,kind")
 
+    def test_theory_stdout_carries_the_file_bytes(self, tmp_path, capsysbinary):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(minimal_config(groups=[
+            {"count": 1, "intensity": {"rule": "equal", "mass": 1.0},
+             "law": {"kind": "pareto", "alpha": 1.5}}])))
+        dest = tmp_path / "theory.csv"
+        assert main(["theory", str(cfg_path), "-o", str(dest)]) == EXIT_OK
+        capsysbinary.readouterr()
+        assert main(["theory", str(cfg_path)]) == EXIT_OK
+        assert capsysbinary.readouterr().out == dest.read_bytes()
+
     def test_calibrate_acf_without_rows_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         path.write_text("lag,value\n")
         assert main(["calibrate", str(path)]) == EXIT_CONFIG
         assert "no data rows" in capsys.readouterr().err
+
+    def test_calibrate_malformed_acf_is_a_config_error(self, tmp_path, capsys):
+        # a valid curve with one value outside [-1, 1] appended
+        lags = np.arange(1, 2001)
+        curve = AcfCurve(lags=lags, values=0.3 * lags**-0.5, kind="simulated")
+        path, _ = write_acf_csv(tmp_path / "obs.csv", curve)
+        path.write_text(path.read_text() + "2001,1.5\n")
+        assert main(["calibrate", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_calibrate_cli(self, tmp_path, capsys):
         lags = np.arange(1, 2001)
@@ -471,6 +501,19 @@ class TestCliExitCodes:
             "kind": "exponential", "decay_length": {"rule": "pareto", "theta": True}}),
         lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[True, 1.0]]}),
         lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[2, True]]}),
+        lambda d: d.update(steps="20000"),
+        lambda d: d.update(seed="1"),
+        lambda d: d.update(replicas="2"),
+        lambda d: d["groups"][0].update(count="2"),
+        lambda d: d["groups"][0].update(intensity={"rule": "equal", "mass": "1.0"}),
+        lambda d: d["groups"][0].update(
+            count=2, intensity={"rule": "explicit", "values": ["0.5", "0.5"]}),
+        lambda d: d["groups"][0].update(
+            law={"kind": "exponential", "decay_length": "5"}),
+        lambda d: d["groups"][0].update(law={"kind": "pareto", "alpha": "1.5"}),
+        lambda d: d["groups"][0].update(law={
+            "kind": "exponential", "decay_length": {"rule": "pareto", "theta": "1.5"}}),
+        lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[2, "1.0"]]}),
     ], ids=["steps-not-a-number", "count-not-a-number",
             "explicit-intensity-not-a-number", "law-missing-decay-length",
             "groups-not-a-list", "intensity-a-string", "intensity-a-number",
@@ -478,7 +521,10 @@ class TestCliExitCodes:
             "max-lag-fractional", "count-fractional", "count-a-boolean",
             "replicas-a-boolean", "steps-infinite", "mass-a-boolean",
             "decay-length-a-boolean", "alpha-a-boolean", "theta-a-boolean",
-            "pmf-support-a-boolean", "pmf-probability-a-boolean"])
+            "pmf-support-a-boolean", "pmf-probability-a-boolean",
+            "steps-a-string", "seed-a-string", "replicas-a-string", "count-a-string",
+            "mass-a-string", "explicit-intensity-a-string", "decay-length-a-string",
+            "alpha-a-string", "theta-a-string", "pmf-probability-a-string"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()

@@ -99,6 +99,16 @@ class TestExperimentConfig:
         assert type(cfg.steps) is int and type(cfg.max_lag) is int
         assert cfg.digest() == ExperimentConfig.from_dict(base_dict()).digest()
 
+    def test_numpy_scalars_are_numbers(self):
+        # a Python caller may pass numpy scalars; JSON strings are refused
+        d = base_dict(steps=np.int64(100_000), seed=np.int64(7))
+        d["groups"][0].update(
+            count=np.int64(2),
+            intensity={"rule": "explicit", "values": [np.float64(0.5)] * 2},
+            law={"kind": "exponential", "decay_length": np.float64(5.0)})
+        cfg = ExperimentConfig.from_dict(d)
+        assert type(cfg.steps) is int and cfg.build_population().size == 2
+
     def test_digest_is_order_insensitive_but_content_sensitive(self):
         d = base_dict()
         shuffled = dict(reversed(list(d.items())))

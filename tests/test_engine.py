@@ -120,8 +120,7 @@ class TestPopulation:
 
     def test_digests_match_the_per_call_serialisation(self):
         pop = mixed_population()
-        assert "canonical_json" not in vars(pop)  # serialised lazily
-        # the formulas both digests used before the JSON was shared
+        # the digest is pinned to this serialisation of the population
         described = {"traders": [{"intensity": float(lam), "law": t.law.as_config()}
                                  for lam, t in zip(pop.intensities, pop.traders)]}
         assert pop.digest() == hashlib.sha256(

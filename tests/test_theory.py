@@ -36,11 +36,7 @@ from lmfsim.theory import (
     AcfCurve,
     ValidityWarning,
     default_lags,
-    exponential_acf,
-    prefactor_upper,
     superposition_prefactor,
-    superposition_prefactor_homogeneous,
-    superposition_upper,
 )
 from lmfsim.errors import DegenerateExponent, DomainError, NonconvergentMean
 
@@ -252,7 +248,8 @@ class TestExponentialSum:
         lags = np.arange(1, 2001)
         loop = np.zeros(lags.shape)
         for lam, t in zip(pop.intensities, pop.traders):
-            loop += exponential_acf(float(lam), t.law.decay_length).values_at(lags)
+            loop += exponential_acf_closed_form(float(lam), t.law.decay_length,
+                                                lags).values
         for curve in (exact_acf_market, hetero_acf_asymptote):
             got = curve(pop, lags).values
             assert np.allclose(got, loop, rtol=1e-14, atol=0.0), curve.__name__
@@ -264,7 +261,8 @@ class TestExponentialSum:
         pop = Population([TraderSpec(float(a), Exponential(float(d)))
                           for a, d in zip(lam, decay)])
         lags = default_lags(5000)
-        terms = np.array([exponential_acf(float(a), t.law.decay_length).values_at(lags)
+        terms = np.array([exponential_acf_closed_form(float(a), t.law.decay_length,
+                                                      lags).values
                           for a, t in zip(pop.intensities, pop.traders)])
         exact = np.array([math.fsum(col) for col in terms.T])
         for curve in (exact_acf_market, hetero_acf_asymptote):
@@ -298,15 +296,18 @@ class TestExponentialClosedForm:
                 assert np.max(np.abs(closed.values - exact.values)) < 1e-12
 
     def test_lazy_curve_object(self):
-        lazy = exponential_acf(0.1, 2.0)
-        lags = np.array([1, 2, 7, 40])
-        dense = exponential_acf_closed_form(0.1, 2.0, lags)
-        assert np.allclose(lazy.values_at(lags), dense.values, rtol=1e-14)
-        assert lazy.values_at([1])[0] == pytest.approx(
-            EXACT_EXP_TAU1, rel=1e-12, abs=0.0)
+        curve = exponential_acf_closed_form(0.1, 2.0, np.arange(1, 41))
+        assert curve.values[0] == pytest.approx(EXACT_EXP_TAU1, rel=1e-12, abs=0.0)
         # geometric decay time: values fall by e over decay_time lags
-        ratio = lazy.values_at([1 + int(lazy.decay_time)])[0] / lazy.values_at([1])[0]
+        decay_time = -1.0 / math.log(1.0 - 0.1 * (1.0 - math.exp(-1.0 / 2.0)))
+        ratio = curve.values[int(decay_time)] / curve.values[0]
         assert ratio == pytest.approx(1 / math.e, rel=0.05, abs=0.0)
+
+    @pytest.mark.parametrize("lam, decay", [(0.0, 2.0), (1.5, 2.0),
+                                            (0.1, 0.0), (0.1, -1.0)])
+    def test_rejects_inputs_outside_the_domain(self, lam, decay):
+        with pytest.raises(DomainError):
+            exponential_acf_closed_form(lam, decay, [1, 2])
 
 
 class TestPowerLawAsymptote:
@@ -416,10 +417,11 @@ class TestPrefactors:
 
     def test_superposition_variants(self):
         lam = np.full(100, 0.01)
+        even = prefactor_bounds(lam, 1.5)
         assert superposition_prefactor(lam, 1.5) == pytest.approx(
-            superposition_prefactor_homogeneous(1.0, 100, 1.5), rel=1e-12, abs=0.0)
-        assert superposition_prefactor(lam, 1.5) <= superposition_upper(1.0, 1.5)
-        assert prefactor_upper(0.8, 1.5) == pytest.approx(
+            even.q0_homogeneous, rel=1e-12, abs=0.0)
+        assert superposition_prefactor(lam, 1.5) <= even.q0_upper
+        assert prefactor_bounds([0.3, 0.5], 1.5).c0_upper == pytest.approx(
             0.8**1.5 / 1.5, rel=1e-13, abs=0.0)
 
     def test_alpha_domain_errors(self):
