@@ -196,7 +196,7 @@ class ExperimentConfig:
             save_signs=_flag(d, "save_signs", False),
             save_lengths=_flag(d, "save_lengths", True),
             theory_grid=str(d.get("theory_grid", "geometric")),
-            label=str(d.get("label", "")),
+            label=d.get("label", ""),
         )
         cfg.validate()
         return cfg
@@ -206,6 +206,7 @@ class ExperimentConfig:
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(self.replicas >= 1, f"replicas must be >= 1, got {self.replicas}")
         _require(self.max_lag >= 1, "max_lag must be >= 1")
+        _require(isinstance(self.label, str), f"label must be a string, got {self.label!r}")
         _require(
             self.steps > 10 * self.max_lag,
             f"steps must exceed 10 * max_lag; got {self.steps} vs {self.max_lag}",

@@ -4,7 +4,8 @@ Every run writes a self-describing directory: the averaged sample ACF, the
 matching theory curves, pooled metaorder statistics and a manifest with the
 config digest, derived seeds, artifact checksums and timings.  Experiment
 presets bundle the parameter matrices of the standard validation scenarios;
-their tolerances are asserted by the acceptance test suite, not here.
+every number of a report entry is computed from its case's run directory,
+and the tolerances are asserted by the acceptance test suite, not here.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def theory_curves(population: Population, max_lag: int, grid: str = "geometric")
     return curves
 
 
-def _run_into(config: ExperimentConfig, out_dir: Path,
-              population: Population | None = None):
+def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     """Run every replica of a config and write its whole run directory.
 
     This is the only writer of a run directory: the averaged ACF, the theory
@@ -217,10 +217,9 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
     ``save_signs`` writes it.  Each replica's flat metaorder log
     ``(lengths, offsets)`` is reduced to a count histogram before the next
     replica runs.  Every writer hashes the bytes it writes, and the sidecars
-    and the manifest carry those digests.  Returns the manifest,
-    the population, the averaged ACF, the theory curves and the pooled length
-    distribution (None when nothing was logged).
+    and the manifest carry those digests.  Returns the manifest.
     """
+    config, out_dir = load_config(config), Path(out_dir)
     t_start = time.perf_counter()
     population = population or config.build_population()
     t0 = time.perf_counter()
@@ -325,12 +324,7 @@ def _run_into(config: ExperimentConfig, out_dir: Path,
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return manifest, population, curve, theory, lengths
-
-
-def run_simulate(config, out_dir, population: Population | None = None) -> dict:
-    """Execute a config and write the standard artifact set; returns the manifest."""
-    return _run_into(load_config(config), Path(out_dir), population)[0]
+    return manifest
 
 
 def _case_entry(case_dir: Path, config: ExperimentConfig) -> dict:
@@ -458,6 +452,19 @@ def oracle_case_populations():
     ]
 
 
+def _run_case(out_dir: Path, cfg: ExperimentConfig):
+    """Run a preset case into ``out_dir / label``; returns that directory, the
+    population, and the sample ACF of ``acf.csv`` and the ``exact`` rows of
+    ``theory.csv`` read back (shortest-repr floats, so bit for bit)."""
+    case_dir, population = out_dir / cfg.label, cfg.build_population()
+    run_simulate(cfg, case_dir, population)
+    rows = np.genfromtxt(case_dir / "theory.csv", delimiter=",", names=True,
+                         dtype=None, encoding="utf-8")
+    exact = rows[rows["kind"] == "exact"]
+    return (case_dir, population, read_acf_csv(case_dir / "acf.csv"),
+            AcfCurve(lags=exact["lag"], values=exact["value"], kind="exact"))
+
+
 def _acf_comparison(steps: int, exact: AcfCurve, curve: AcfCurve):
     """Exact-curve agreement in the region where theory dominates noise."""
     lags = exact.lags
@@ -479,8 +486,7 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
     for j, decay in enumerate((2.0, 5.0, 10.0)):
         cfg = _case_config(f"exp-decay-{decay:g}", base_seed + j, 10_000_000, 12, 600,
                            [_group(10, 1.0, {"kind": "exponential", "decay_length": decay})])
-        case_dir = out_dir / cfg.label
-        _, pop, curve, (exact, *_), _ = _run_into(cfg, case_dir)
+        case_dir, pop, curve, exact = _run_case(out_dir, cfg)
         prefactor, decay_time = _exponential_params(float(pop.intensities[0]), decay)
         report["cases"].append(
             {
@@ -496,8 +502,7 @@ def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
 
 
 def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
-    case_dir = out_dir / cfg.label
-    _, pop, curve, _, _ = _run_into(cfg, case_dir)
+    case_dir, pop, curve, _ = _run_case(out_dir, cfg)
     window = (100.0, 10_000.0)
     fit = fit_acf_powerlaw(curve, window)
     entry = {
@@ -551,8 +556,10 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
         cfg = _case_config(f"decay-superposition-theta-{theta}", base_seed + j,
                            10_000_000, 10, 100_000, [_group(1000, 1.0, law)],
                            collect_lengths="all", save_lengths=False)
-        case_dir = out_dir / cfg.label
-        _, pop, curve, _, dist = _run_into(cfg, case_dir)
+        case_dir, pop, curve, _ = _run_case(out_dir, cfg)
+        hist = np.loadtxt(case_dir / "lengths_hist.csv", np.int64, delimiter=",",
+                          skiprows=1, ndmin=2)
+        dist = EmpiricalDistribution(support=hist[:, 0], counts=hist[:, 1])
         acf_fit = fit_acf_powerlaw(curve, window)
         max_len = int(dist.support.max())
         pdf_window = (10.0, float(min(1000, max(20, max_len // 10))))
@@ -605,8 +612,7 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
         }
         cfg = _case_config(f"intensity-superposition-beta-{beta}-decay-{decay}",
                            base_seed + j, 10_000_000, replicas, max_lag, [group])
-        case_dir = out_dir / cfg.label
-        _, _, curve, (exact, *_), _ = _run_into(cfg, case_dir)
+        case_dir, _, curve, exact = _run_case(out_dir, cfg)
         fit = fit_acf_powerlaw(curve, window)
         exact_fit = fit_acf_powerlaw(exact, window)
         entry = {

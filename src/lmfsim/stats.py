@@ -128,8 +128,7 @@ class _AcfSums:
         lags = np.arange(1, self.max_lag + 1, dtype=np.int64)
         values = sums[lags] / (t - lags)
         stderr = 1.0 / np.sqrt(t - lags.astype(np.float64))
-        return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr,
-                        meta={"steps": t, "replicas": 1})
+        return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr)
 
 
 def acf_estimate(series, max_lag: int) -> AcfCurve:
@@ -169,9 +168,7 @@ def average_curves(curves: list[AcfCurve]) -> AcfCurve:
         stderr = np.sqrt(np.mean([c.stderr**2 for c in curves], axis=0) / k)
     else:
         stderr = None
-    steps = sum(c.meta.get("steps", 0) for c in curves)
-    return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr,
-                    meta={"steps": steps, "replicas": k})
+    return AcfCurve(lags=lags, values=values, kind="simulated", stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -269,16 +266,16 @@ def fit_powerlaw(x, y, window=None) -> PowerLawFit:
     )
 
 
-def _log_bins(x: np.ndarray, bins_per_decade: int):
+def _log_bins(x: np.ndarray):
     """Geometric bin edges spanning ``x`` and the bin index of each ``x``."""
     lo, hi = x.min(), x.max()
-    n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * bins_per_decade)))
+    n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * _BINS_PER_DECADE)))
     edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
     edges[-1] *= 1.0 + 1e-12
     return edges, np.digitize(x, edges) - 1
 
 
-def log_bin_curve(x, y, bins_per_decade: int = _BINS_PER_DECADE, window=None):
+def log_bin_curve(x, y, window=None):
     """Average a curve inside geometric bins; returns (x_centre, y_mean, n_in_bin).
 
     Bin centres are the geometric means of the member x values, y is their
@@ -291,7 +288,7 @@ def log_bin_curve(x, y, bins_per_decade: int = _BINS_PER_DECADE, window=None):
         x, y = x[keep], y[keep]
     if x.size == 0:
         raise InsufficientPoints("no points to bin")
-    edges, which = _log_bins(x, bins_per_decade)
+    edges, which = _log_bins(x)
     xs, ys, ns = [], [], []
     for b in range(edges.size - 1):
         sel = which == b
@@ -303,8 +300,7 @@ def log_bin_curve(x, y, bins_per_decade: int = _BINS_PER_DECADE, window=None):
     return np.array(xs), np.array(ys), np.array(ns)
 
 
-def log_bin_density(dist: EmpiricalDistribution,
-                    bins_per_decade: int = _BINS_PER_DECADE, window=None):
+def log_bin_density(dist: EmpiricalDistribution, window=None):
     """Log-binned probability density of an integer distribution.
 
     Each bin reports (total count in bin) / (total * number of integers in
@@ -317,7 +313,7 @@ def log_bin_density(dist: EmpiricalDistribution,
         support, counts = support[keep], counts[keep]
     if support.size == 0:
         raise InsufficientPoints("no support points to bin")
-    edges, which = _log_bins(support, bins_per_decade)
+    edges, which = _log_bins(support)
     hi = support.max()
     xs, dens = [], []
     total = dist.total

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -82,7 +82,6 @@ class AcfCurve:
     values: np.ndarray
     kind: str
     stderr: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.lags = np.asarray(self.lags, dtype=np.int64)
@@ -105,21 +104,19 @@ class AcfCurve:
         return self.lags.size
 
 
-def default_lags(max_lag: int, ratio: float = 1.25) -> np.ndarray:
+def default_lags(max_lag: int) -> np.ndarray:
     """Default lag grid of the theory evaluators.
 
-    Deduplicated integers 1, 2, ... growing geometrically by ``ratio`` and
-    ending at ``max_lag``.
+    Deduplicated integers 1, 2, ... growing geometrically by 1.25 and ending
+    at ``max_lag``.
     """
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    if ratio <= 1.0:
-        raise DomainError(f"ratio must exceed 1, got {ratio}")
     lags = [max_lag]
     x = 1.0
     while x <= max_lag:
         lags.append(int(round(x)))
-        x *= ratio
+        x *= 1.25
     out = np.unique(np.asarray(lags, dtype=np.int64))
     return out[out <= max_lag]
 

@@ -93,7 +93,8 @@ def test_criterion_03_homogeneous_exponential_market(tmp_path):
         3,
         worst < 0.10 and all(n > 0 for n in checked) and elapsed < 120.0,
         f"3 decay lengths, {checked} lags in the theory-dominated region, "
-        f"max rel err = {worst:.3f} (tol 0.10), {elapsed:.0f}s (limit 120s)",
+        f"max rel err = {worst:.3f} (tol 0.10), {elapsed:.0f}s (limit 120s); "
+        f"case directories in {tmp_path / 'fig3'}",
     )
 
 
@@ -113,7 +114,8 @@ def test_criterion_04_powerlaw_splitters(tmp_path):
         ok,
         f"mu in (1.0, 0.85, 0.7): exponents {[round(e, 3) for e in exps]} "
         f"(0.5 +- 0.1), prefactor ratios {[round(r, 3) for r in ratios]} "
-        f"(factor 1.3), {elapsed:.0f}s (limit 900s)",
+        f"(factor 1.3), {elapsed:.0f}s (limit 900s); "
+        f"case directories in {tmp_path / 'fig4'}",
     )
 
 
@@ -134,7 +136,8 @@ def test_criterion_05_decay_length_superposition(tmp_path):
         f"theta=1.5: acf slope {quant['acf_exponent']:.3f} (0.5 +- 0.1), "
         f"pdf slope {quant['pdf_exponent']:.3f} (2.5 +- 0.2); "
         f"theta=2.5 outside validity, reported qualitatively: "
-        f"acf {qual['acf_exponent']:.3f}, pdf {qual['pdf_exponent']:.3f}",
+        f"acf {qual['acf_exponent']:.3f}, pdf {qual['pdf_exponent']:.3f}; "
+        f"case directories in {tmp_path / 'fig5'}",
     )
 
 
@@ -151,7 +154,8 @@ def test_criterion_06_intensity_superposition(tmp_path):
         ok,
         f"beta=0.5, decay 10: simulated slope {fitted:.4f}, exact-curve slope "
         f"{exact:.4f} (2 - beta = 1.5 +- 0.15) on window "
-        f"{[round(w, 1) for w in quant['window']]}",
+        f"{[round(w, 1) for w in quant['window']]}; "
+        f"case directories in {tmp_path / 'fig7'}",
     )
 
 

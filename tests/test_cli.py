@@ -26,7 +26,7 @@ from lmfsim.errors import ConfigError, DomainError
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
     _case_entry,
-    _run_into,
+    _run_case,
     _write_lengths_npy,
     read_acf_csv,
     run_calibrate,
@@ -185,7 +185,8 @@ class TestRunSimulate:
         rms = {}
         for k in (2, 8):
             cfg = load_config({**base, "replicas": k})
-            _, _, curve, _, _ = _run_into(cfg, tmp_path / f"r{k}")
+            run_simulate(cfg, tmp_path / f"r{k}")
+            curve = read_acf_csv(tmp_path / f"r{k}" / "acf.csv")
             rms[k] = float(np.sqrt(np.mean(curve.values ** 2)))
             # the attached stderr scales exactly as 1/sqrt(k)
             lone = acf_estimate(
@@ -328,12 +329,10 @@ class TestRunDirectory:
             groups=[{"count": 10, "intensity": {"rule": "equal", "mass": 1.0},
                      "law": {"kind": "exponential", "decay_length": 2.0}}],
         ))
-        case_dir = tmp_path / cfg.label
-        _, pop, _, (exact, *_), lengths = _run_into(cfg, case_dir)
+        case_dir, pop, curve, exact = _run_case(tmp_path, cfg)
         entry = _case_entry(case_dir, cfg)
         assert entry["dir"] == str(tmp_path / cfg.label)
         manifest = json.loads((case_dir / "manifest.json").read_text())
-        assert manifest.keys() == run_simulate(cfg, tmp_path / "cli").keys()
         assert manifest["config_digest"] == entry["config_digest"] == cfg.digest()
         assert set(manifest["artifacts"]) == {"acf", "theory", "lengths_hist",
                                               "metaorders"}
@@ -343,12 +342,23 @@ class TestRunDirectory:
             sidecar = json.loads(path.with_suffix(".json").read_text())
             assert sidecar["sha256"] == artifact["sha256"] == sha
             assert sidecar["config_digest"] == manifest["config_digest"]
-        # the curve the report compares against is the one in theory.csv
+        # the curves the report uses are read back bit for bit: the exact
+        # curve of the population on the default grid, and the sample ACF
         assert np.array_equal(exact.lags, default_lags(cfg.max_lag))
+        assert np.array_equal(exact.values, theory_curves(pop, cfg.max_lag)[0].values)
+        assert curve.lags.size == cfg.max_lag
+        assert curve.values[0] == manifest["summary"]["acf_lag1"]
         rows = (case_dir / "theory.csv").read_text().splitlines()[1:len(exact) + 1]
         assert rows == [f"{lag},{val!r},exact"
                         for lag, val in zip(exact.lags.tolist(), exact.values.tolist())]
-        assert manifest["summary"]["metaorders_logged"] == lengths.total
+        # the histogram pools the lengths of the raw metaorder log
+        hist = np.loadtxt(case_dir / "lengths_hist.csv", np.int64, delimiter=",",
+                          skiprows=1, ndmin=2)
+        support, counts = np.unique(np.load(case_dir / "metaorders.npy")[:, 1],
+                                    return_counts=True)
+        assert np.array_equal(hist[:, 0], support)
+        assert np.array_equal(hist[:, 1], counts)
+        assert manifest["summary"]["metaorders_logged"] == counts.sum()
         assert manifest["population_digest"] == pop.digest()
 
 
@@ -514,6 +524,10 @@ class TestCliExitCodes:
         lambda d: d["groups"][0].update(law={
             "kind": "exponential", "decay_length": {"rule": "pareto", "theta": "1.5"}}),
         lambda d: d["groups"][0].update(law={"kind": "tabulated", "pmf": [[2, "1.0"]]}),
+        lambda d: d.update(label=5),
+        lambda d: d.update(label=None),
+        lambda d: d.update(label=True),
+        lambda d: d.update(label={"a": 1}),
     ], ids=["steps-not-a-number", "count-not-a-number",
             "explicit-intensity-not-a-number", "law-missing-decay-length",
             "groups-not-a-list", "intensity-a-string", "intensity-a-number",
@@ -524,7 +538,8 @@ class TestCliExitCodes:
             "pmf-support-a-boolean", "pmf-probability-a-boolean",
             "steps-a-string", "seed-a-string", "replicas-a-string", "count-a-string",
             "mass-a-string", "explicit-intensity-a-string", "decay-length-a-string",
-            "alpha-a-string", "theta-a-string", "pmf-probability-a-string"])
+            "alpha-a-string", "theta-a-string", "pmf-probability-a-string",
+            "label-a-number", "label-null", "label-a-boolean", "label-an-object"])
     def test_malformed_config_exits_with_the_config_code(self, tmp_path, capsys,
                                                         break_config):
         d = minimal_config()

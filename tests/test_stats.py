@@ -70,12 +70,10 @@ class TestAcfEstimate:
         direct = acf_direct(signs, curve.lags)
         assert np.max(np.abs(curve.values - direct)) < 1e-10
 
-    def test_stderr_and_meta(self):
+    def test_stderr(self):
         curve = acf_estimate(np.ones(2000, dtype=np.int8), max_lag=10)
         assert curve.stderr is not None
         assert curve.stderr[0] == pytest.approx(1 / np.sqrt(1999))
-        assert curve.meta["steps"] == 2000
-        assert curve.meta["replicas"] == 1
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -133,7 +131,6 @@ class TestBlockedAcf:
         for piece in pieces:
             sums.feed(piece)
         curve = sums.curve()
-        assert curve.meta["steps"] == steps
         assert np.array_equal(curve.values, acf_direct(signs, curve.lags))
         assert np.array_equal(curve.values, whole)
 
@@ -181,8 +178,6 @@ class TestAverageCurves:
         b = acf_estimate(np.tile([1, -1], 500).astype(np.int8), max_lag=5)
         avg = average_curves([a, b])
         assert np.allclose(avg.values, (a.values + b.values) / 2, atol=1e-14)
-        assert avg.meta["replicas"] == 2
-        assert avg.meta["steps"] == 2000
         # averaging k replicas shrinks the stderr by sqrt(k)
         assert np.allclose(avg.stderr, a.stderr / np.sqrt(2), rtol=1e-12)
 
@@ -285,7 +280,7 @@ class TestLogBinning:
     def test_bins_preserve_powerlaw(self):
         x = np.arange(1, 10_001, dtype=np.float64)
         y = x**-0.5
-        bx, by, bn = log_bin_curve(x, y, bins_per_decade=8)
+        bx, by, bn = log_bin_curve(x, y)
         assert bn.sum() == x.size
         fit = fit_powerlaw(bx, by)
         assert fit.exponent == pytest.approx(0.5, abs=0.01)
@@ -301,7 +296,7 @@ class TestLogBinning:
         rng = np.random.default_rng(11)
         samples = rng.geometric(0.02, size=400_000)
         dist = EmpiricalDistribution.from_samples(samples)
-        xs, dens = log_bin_density(dist, bins_per_decade=4, window=(1, 50))
+        xs, dens = log_bin_density(dist, window=(1, 50))
         want = 0.02 * (1 - 0.02) ** (xs - 1.0)
         assert np.allclose(dens, want, rtol=0.05)
 
