@@ -12,6 +12,9 @@ is imported from the submodule that defines it (``lmfsim.engine``,
 ``lmfsim.theory``, ...).
 """
 
+# Defined before the submodules load: run manifests record it (lmfsim.runner).
+__version__ = "0.1.0"
+
 from .chain_oracle import oracle_acf_small_chain
 from .engine import Population, TraderSpec, simulate
 from .errors import ConfigError, DomainError, LmfsimError
@@ -32,8 +35,6 @@ from .theory import (
     prefactor_hetero,
     prefactor_homogeneous,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

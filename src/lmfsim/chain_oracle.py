@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import Population
 from .errors import DomainError, LmfsimError, StateSpaceTooLarge
@@ -44,7 +43,7 @@ class ChainOracle:
     """Enumerated chain with its stationary distribution."""
 
     radices: np.ndarray          # per-trader digit count 2 * Lmax_i
-    transition: sp.csr_matrix    # row-stochastic, shape (n, n)
+    transition: "scipy.sparse.csr_matrix"  # row-stochastic, shape (n, n)
     stationary: np.ndarray
     market_sign: np.ndarray      # g(x) per state
     digits: np.ndarray           # per-state per-trader digit, shape (n, M)
@@ -79,6 +78,8 @@ class ChainOracle:
 
 def build_oracle(population: Population) -> ChainOracle:
     """Enumerate the chain of a finite-support population and solve it."""
+    import scipy.sparse as sp
+
     m = population.size
     supports = [_finite_support(t.law) for t in population.traders]
     radices = np.array([2 * int(s[0].max()) for s in supports], dtype=np.int64)

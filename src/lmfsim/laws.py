@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import (
     DomainError,
@@ -207,6 +206,12 @@ class DiscretePareto(MetaorderLaw):
             raise InvalidExponent(
                 f"tail_exponent must be positive, got {self.tail_exponent}"
             )
+        if self.tail_exponent > 1.0:
+            # Riemann zeta(alpha), the mean and the normaliser the stationary
+            # draws invert; computed here, so SciPy loads when the law is built
+            from scipy.special import zeta
+
+            object.__setattr__(self, "_zeta", float(zeta(self.tail_exponent)))
 
     def pmf(self, length):
         arr = _check_lengths(length).astype(np.float64)
@@ -218,15 +223,16 @@ class DiscretePareto(MetaorderLaw):
         return arr**-self.tail_exponent
 
     def mean_length(self) -> float:
-        # Riemann zeta(alpha), the normaliser the stationary draws invert
         _check_summable(self.tail_exponent)
-        return float(zeta(self.tail_exponent))
+        return self._zeta
 
     def ccdf_tail(self, start: int) -> float:
         # Hurwitz zeta(alpha, start) = sum_{k >= start} k**-alpha
         _check_summable(self.tail_exponent)
         if start < 1:
             raise DomainError(f"tail start must be >= 1, got {start}")
+        from scipy.special import zeta
+
         return float(zeta(self.tail_exponent, start))
 
     @property
@@ -263,6 +269,8 @@ def _pareto_remaining(u: np.ndarray, alpha) -> np.ndarray:
     against ``u``.
     """
     _check_summable(alpha)
+    from scipy.special import zeta
+
     target = (1.0 - u) * zeta(alpha)
     # in log space, so alpha near 1 clamps at the cap instead of overflowing
     log_r = -np.log((alpha - 1.0) * target) / (alpha - 1.0)

@@ -18,11 +18,11 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .chain_oracle import build_oracle
 from .config import ExperimentConfig, load_config, splitter_ids
 from .engine import Population, TraderSpec, simulate
@@ -62,13 +62,6 @@ __all__ = [
     "write_theory_csv",
     "EXPERIMENTS",
 ]
-
-
-def _version() -> str:
-    try:
-        return _pkg_version("lmfsim")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def replica_seed(base_seed: int, replica: int) -> np.random.SeedSequence:
@@ -298,7 +291,7 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     artifacts = {**tables, **sign_series}  # name -> (path, sha256)
 
     manifest = {
-        "version": _version(),
+        "version": __version__,
         "label": config.label,
         "config": config.to_dict(),
         "config_digest": digest,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+from numpy.fft import irfft, rfft
 
 from .engine import SimulationOutput
 from .errors import DomainError, EmptyLog, InsufficientPoints, SeriesTooShort
@@ -33,9 +33,10 @@ __all__ = [
 ]
 
 
-# Overlap-save sizes of the lag sums: each FFT spans at least _MIN_FFT samples
-# and 4 times the max_lag + 1 overlap, so the overlap wastes at most 1/4 of
-# the work; one batch of blocks holds about _GROUP_SAMPLES float64 samples.
+# Overlap-save sizes of the lag sums: each FFT spans the power of two at or
+# above both _MIN_FFT samples and 4 times the max_lag + 1 overlap, so the
+# overlap wastes at most 1/4 of the work; one batch of blocks holds about
+# _GROUP_SAMPLES float64 samples.
 # Batches stay small because they are transformed beside a running simulate,
 # whose own temporaries set the peak memory of a run.
 _MIN_FFT = 1 << 14
@@ -58,7 +59,8 @@ class _AcfSums:
     """Exact lag sums Σ_t x_t x_{t+tau}, tau = 0..max_lag, of a series fed in pieces.
 
     Blocked overlap-save: each block of the series is correlated with itself
-    extended by the next ``max_lag`` samples through cache-sized rffts, and
+    extended by the next ``max_lag`` samples through cache-sized rffts whose
+    length is a power of two (at least 4 (max_lag + 1) and ``_MIN_FFT``), and
     the block spectra are summed before one irfft, so work is O(T log
     max_lag) and memory a few batches of ``_GROUP_SAMPLES`` samples.  A batch
     (group) of blocks is transformed once the samples it spans have all been
@@ -72,8 +74,7 @@ class _AcfSums:
         if max_lag < 1:
             raise DomainError(f"max_lag must be >= 1, got {max_lag}")
         self.max_lag = max_lag
-        self._n_fft = scipy.fft.next_fast_len(
-            max(4 * (max_lag + 1), _MIN_FFT), real=True)
+        self._n_fft = 1 << (max(4 * (max_lag + 1), _MIN_FFT) - 1).bit_length()
         self._block = self._n_fft - max_lag
         self._per_group = self._block * max(1, _GROUP_SAMPLES // self._n_fft)
         self._spectrum = np.zeros(self._n_fft // 2 + 1, dtype=np.complex128)
@@ -88,8 +89,8 @@ class _AcfSums:
         part = part[: seg.size]
         seg[: part.size] = part
         windows = np.lib.stride_tricks.sliding_window_view(seg, n_fft)[::block]
-        full = scipy.fft.rfft(windows, axis=1)
-        head = scipy.fft.rfft(windows[:, :block], n_fft, axis=1)
+        full = rfft(windows, axis=1)
+        head = rfft(windows[:, :block], n_fft, axis=1)
         np.conjugate(head, out=head)
         head *= full
         return head.sum(axis=0)
@@ -121,7 +122,7 @@ class _AcfSums:
             heads = min(self._per_group, self._carry.size - at)
             spectrum += self._group_spectrum(self._carry[at:], heads)
         t = self.steps
-        raw = scipy.fft.irfft(spectrum, self._n_fft)[: self.max_lag + 1]
+        raw = irfft(spectrum, self._n_fft)[: self.max_lag + 1]
         sums = np.rint(raw)
         if np.max(np.abs(raw - sums)) > 0.25:
             raise DomainError(f"lag sums of a length-{t} series lost integer precision")

@@ -28,6 +28,10 @@ _BLOCK terms and reduced with reduceat, so a dense grid to max_lag costs
 O(max_lag**1.5) time and bounded memory.  Everything here evaluates that
 expectation and its closed-form and asymptotic reductions with explicit
 error control.
+
+``scipy.special`` is imported by the functions that evaluate binomial
+masses, so a market of exponential and unit-length traders, which takes
+only closed forms, never loads SciPy.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .engine import Population, TraderSpec
 from .errors import DegenerateExponent, DomainError, LmfsimError
@@ -128,6 +131,8 @@ def _check_intensity(lam: float):
 
 def _stirlerr(n):
     """log(n!) - log(sqrt(2 pi n) (n/e)**n) for integer-valued n >= 1."""
+    from scipy.special import gammaln
+
     n = np.asarray(n, dtype=np.float64)
     direct = gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
     nn = 1.0 / (n * n)
@@ -164,6 +169,8 @@ def binomial_pmf(t: int, lam: float, n) -> np.ndarray | float:
     n_arr = np.asarray(n, dtype=np.int64)
     if n_arr.size and (n_arr.min() < 0 or n_arr.max() > t):
         raise DomainError(f"counts must lie in [0, {t}]")
+    from scipy.special import xlog1py, xlogy
+
     n = n_arr.astype(np.float64)
     # the mass at n in {0, t} is (1 - lam)**t or lam**t; xlogy / xlog1py give
     # 0 * log(0) = 0, so lam in {0, 1} stays exact
@@ -184,6 +191,8 @@ def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.nda
     """``E[table[N]]``, N ~ Binomial(t, lam), for every t in ``trials`` (see above)."""
     if lam == 0.0 or lam == 1.0:  # point mass at n = 0 or n = t
         return table[trials * int(lam == 1.0)]
+    from scipy.special import gammaln
+
     log_fact = gammaln(np.arange(1.0, trials.max(initial=0) + 2.0))  # log n!
     # log pmf(n; t) = log_head[n] + const[t] - log (t - n)!
     log_head = np.arange(log_fact.size) * (math.log(lam) - math.log1p(-lam)) - log_fact

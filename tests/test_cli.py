@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lmfsim
 from lmfsim import (
     DiscretePareto,
     Population,
@@ -154,6 +155,14 @@ class TestRunSimulate:
                 (tmp_path / "b" / name).read_bytes()
         for name, entry in m1["artifacts"].items():
             assert m2["artifacts"][name]["sha256"] == entry["sha256"]
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        # a source checkout has no installed metadata: the manifest must
+        # still name the version the package declares
+        manifest = run_simulate(minimal_config(), tmp_path)
+        assert manifest["version"] == lmfsim.__version__
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["version"] == lmfsim.__version__
 
     def test_save_signs_sidecar(self, tmp_path):
         cfg = minimal_config(save_signs=True, steps=2000, max_lag=50)

@@ -1,0 +1,114 @@
+"""Start-up cost: which SciPy modules a run loads, and when.
+
+Exponential and degenerate runs need no SciPy at all, Pareto laws load
+``scipy.special`` when they are built (before ``run_simulate``), and only the
+enumerated-chain oracle loads ``scipy.sparse``.  Each check runs in a fresh
+interpreter, as a run does, so no other test's imports leak into it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import lmfsim
+
+SRC = Path(lmfsim.__file__).resolve().parent.parent
+
+PRELUDE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {}
+"""
+
+
+def _stages(code: str, tmp_path) -> dict:
+    """Run ``code`` in a fresh interpreter; returns the ``seen`` dict it fills."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    script = PRELUDE + textwrap.dedent(code) + "\nprint(json.dumps(seen))\n"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _config(tmp_path, groups, **extra) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"steps": 20_000, "seed": 3, "max_lag": 50,
+                                "groups": groups, **extra}))
+    return str(path)
+
+
+def _group(count, mass, law):
+    return {"count": count, "intensity": {"rule": "equal", "mass": mass}, "law": law}
+
+
+RUN = """
+import lmfsim
+seen["import"] = scipy_modules()
+from lmfsim.config import load_config
+cfg = load_config({config!r})
+pop = cfg.build_population()
+seen["build"] = scipy_modules()
+lmfsim.run_simulate(cfg, "out", population=pop)
+seen["run"] = scipy_modules()
+"""
+
+
+def test_exponential_and_degenerate_runs_load_no_scipy(tmp_path):
+    config = _config(tmp_path, [
+        _group(5, 0.8, {"kind": "exponential", "decay_length": 4.0}),
+        _group(1, 0.2, {"kind": "degenerate"}),
+    ], theory_grid="dense", save_signs=True)
+    seen = _stages(RUN.format(config=config), tmp_path)
+    assert seen == {"import": [], "build": [], "run": []}
+
+
+def test_cli_simulate_loads_no_scipy(tmp_path):
+    config = _config(tmp_path, [
+        _group(10, 1.0, {"kind": "exponential", "decay_length": 5.0})])
+    seen = _stages(f"""
+        import runpy
+        sys.argv = ["lmfsim", "simulate", {config!r}, "-o", "out"]
+        try:
+            runpy.run_module("lmfsim.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            seen["exit"] = exc.code
+        seen["run"] = scipy_modules()
+        """, tmp_path)
+    assert seen == {"exit": 0, "run": []}
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_pareto_laws_load_scipy_special_when_built(tmp_path):
+    # stationary Pareto draws and the dense binomial theory both use
+    # scipy.special inside run_simulate; it must already be loaded by then
+    config = _config(tmp_path, [
+        _group(3, 0.85, {"kind": "pareto", "alpha": 1.5}),
+        _group(1, 0.15, {"kind": "degenerate"}),
+    ], theory_grid="dense")
+    seen = _stages(RUN.format(config=config), tmp_path)
+    assert seen["import"] == []
+    assert "scipy.special" in seen["build"]
+    assert seen["run"] == seen["build"]
+    assert not any(m.startswith(("scipy.fft", "scipy.sparse")) for m in seen["run"])
+
+
+def test_only_the_oracle_loads_scipy_sparse(tmp_path):
+    seen = _stages("""
+        from lmfsim import Population, Tabulated, TraderSpec
+        from lmfsim.chain_oracle import build_oracle
+        seen["import"] = scipy_modules()
+        pop = Population([TraderSpec(0.5, Tabulated(support=[1, 3], probs=[0.4, 0.6]))])
+        build_oracle(pop)
+        seen["oracle"] = scipy_modules()
+        """, tmp_path)
+    assert seen["import"] == []
+    assert "scipy.sparse" in seen["oracle"]

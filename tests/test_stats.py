@@ -145,7 +145,7 @@ class TestBlockedAcf:
     def test_independent_of_block_sizes(self, monkeypatch):
         signs = simulated_signs(50_000, seed=9)
         default = acf_estimate(signs, 30).values
-        # n_fft 125, one 95-sample block per group: over five hundred groups
+        # n_fft 128, one 98-sample block per group: over five hundred groups
         monkeypatch.setattr(stats, "_MIN_FFT", 1)
         monkeypatch.setattr(stats, "_GROUP_SAMPLES", 1)
         tiny = acf_estimate(signs, 30).values
