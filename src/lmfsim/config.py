@@ -33,6 +33,7 @@ import numpy as np
 from .engine import INIT_MODES, Population, TraderSpec
 from .errors import ConfigError, LmfsimError
 from .laws import (
+    Degenerate,
     Exponential,
     allocate_decay_lengths,
     allocate_intensities,
@@ -263,9 +264,7 @@ class ExperimentConfig:
 
 def splitter_ids(population: Population) -> list[int]:
     """Indices of traders that actually split (non-unit-length laws)."""
-    return [
-        i for i, t in enumerate(population.traders) if t.law.kind != "degenerate"
-    ]
+    return np.flatnonzero(~population._law_columns.has_law(Degenerate)).tolist()
 
 
 def load_config(source) -> ExperimentConfig:

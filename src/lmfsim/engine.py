@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -73,6 +74,9 @@ INIT_MODES = ("stationary", "fresh_draw")
 
 # Steps per chunk of ``simulate``; it bounds the temporaries and changes no output.
 _CHUNK = 1 << 20
+
+# First bytes hashed by ``Population.digest``; a new digest definition gets a new tag.
+_DIGEST_TAG = b"lmfsim population v2\n"
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,22 @@ class Population:
         return len(self.traders)
 
     def digest(self) -> str:
-        """sha256 of the traders' normalised intensities and laws as sorted-key JSON."""
-        traders = [{"intensity": lam, "law": t.law.as_config()}
-                   for lam, t in zip(self.intensities.tolist(), self.traders)]
-        payload = json.dumps({"traders": traders}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """sha256 of the population, built from its law columns.
+
+        Hashes, in order: ``_DIGEST_TAG``; one JSON line listing each law
+        group's ``batch_key()`` (bytes as hex); then the normalised
+        intensities (``<f8``), the group ids (``<i4``) and the params
+        (``<f8``), trader by trader.  A law is its batch key plus its param,
+        so equal digests mean equal traders in the same order.
+        """
+        cols = self._law_columns
+        keys = json.dumps([law.batch_key() for law in cols.laws], default=bytes.hex)
+        h = hashlib.sha256(_DIGEST_TAG)
+        h.update(keys.encode() + b"\n")
+        for column, dtype in ((self.intensities, "<f8"), (cols.group, "<i4"),
+                              (cols.param, "<f8")):
+            h.update(column.astype(dtype, copy=False).tobytes())
+        return h.hexdigest()
 
     @cached_property
     def _law_columns(self) -> "_LawColumns":
@@ -155,6 +170,10 @@ class _LawColumns:
             self.group[i] = g
         self.param = np.array([t.law.param for t in traders], dtype=np.float64)
         self.mean = np.array([_mean_or_inf(t.law) for t in traders])
+
+    def has_law(self, kinds) -> np.ndarray:
+        """Mask of the traders whose law is an instance of ``kinds``, one test per group."""
+        return np.array([isinstance(law, kinds) for law in self.laws])[self.group]
 
     def invert(self, u: np.ndarray, trader: np.ndarray, stationary: bool = False):
         """Lengths (or stationary remaining counts) of ``trader`` at uniforms ``u``."""
@@ -438,6 +457,27 @@ class _Traders:
         return run_sign, run_len, act, end, log
 
 
+# the 32-bit word of a little- or big-endian uint64 that holds its high bits
+_HIGH_WORD = int(sys.byteorder == "little")
+
+
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` of non-negative integer ids below 2**32.
+
+    Sorts the uint64 keys (id << 32) | position in place: the keys are
+    unique, so any sort is stable, and clearing their id words leaves the
+    int64 permutation in the same buffer.  The ids go straight into the
+    high words of a fresh ``np.arange``, so nothing is allocated beside the
+    result (fewer than 2**32 ids).
+    """
+    keys = np.arange(ids.size, dtype=np.uint64)
+    high = keys.view(np.uint32)[_HIGH_WORD::2]
+    high[:] = ids
+    keys.sort()
+    high[:] = 0
+    return keys.view(np.int64)
+
+
 def simulate(
     population: Population,
     steps: int,
@@ -526,7 +566,7 @@ def simulate(
                 if signs_out is not None or on_chunk is not None:
                     chunk = (np.empty(n, dtype=np.int8) if signs_out is None
                              else signs_out[done : done + n])
-                    chunk[np.argsort(sel, kind="stable")] = np.repeat(run_sign, run_len)
+                    chunk[_stable_order(sel)] = np.repeat(run_sign, run_len)
                     if on_chunk is not None:
                         on_chunk(chunk)
             done += n
@@ -548,7 +588,7 @@ def simulate(
     np.cumsum(np.bincount(owner, minlength=m), out=offsets[1:])
     return SimulationOutput(
         signs=signs_out,
-        lengths=lengths[np.argsort(owner, kind="stable")],
+        lengths=lengths[_stable_order(owner)],
         offsets=offsets,
         selection_counts=selection_counts,
         final_state=final_state,

@@ -244,19 +244,20 @@ def exact_acf_trader(trader: TraderSpec, lags) -> AcfCurve:
 def exact_acf_market(population: Population, lags) -> AcfCurve:
     """Sum of exact per-trader contributions over a population.
 
-    Identical traders are grouped and computed once.  Exponential and
-    unit-length traders take their closed forms (verified equal to the
-    generic sum elsewhere); everything else goes through the generic sum.
+    Identical traders are grouped and computed once, the groups added in the
+    order of their first trader.  Exponential and unit-length traders take
+    their closed forms (verified equal to the generic sum elsewhere);
+    everything else goes through the generic sum.
     """
     lags = np.asarray(lags, dtype=np.int64)
     total = _exponential_sum(population, lags)
-    groups: dict[str, list] = {}
-    for lam, t in zip(population.intensities, population.traders):
-        if not isinstance(t.law, (Degenerate, Exponential)):
-            key = f"{lam!r}|{t.law.as_config()!r}"
-            groups.setdefault(key, [0, float(lam), t.law])[0] += 1
-    for count, lam, law in groups.values():
-        total += count * exact_acf_trader(TraderSpec(lam, law), lags).values
+    cols = population._law_columns
+    generic = np.flatnonzero(~cols.has_law((Degenerate, Exponential)))
+    first, count = _runs(population.intensities[generic], cols.group[generic],
+                         cols.param[generic])
+    for f, c in sorted(zip(generic[first].tolist(), count.tolist())):
+        trader = TraderSpec(float(population.intensities[f]), population.traders[f].law)
+        total += c * exact_acf_trader(trader, lags).values
     return AcfCurve(lags=lags, values=total, kind="exact")
 
 
@@ -287,16 +288,31 @@ def _exponential_params(lam, decay_length):
     return lam * lam * np.exp(-1.0 / decay_length) / q, -1.0 / np.log(q)
 
 
+def _runs(*columns):
+    """Equal rows of ``columns``: the index of each distinct row's first
+    occurrence and its count, in the rows' lexicographic order (the last
+    column first)."""
+    order = np.lexsort(columns)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for col in columns:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
+    start = np.flatnonzero(new)
+    return order[start], np.diff(start, append=order.size)
+
+
 def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
     """Closed forms of the population's exponential traders summed at ``lags``;
     identical traders are grouped, at most ``_BLOCK`` group x lag terms at a time.
     Zero-intensity traders never trade and contribute exactly 0."""
-    traders = [(lam, t.law.decay_length) for lam, t in
-               zip(population.intensities, population.traders)
-               if isinstance(t.law, Exponential) and lam > 0.0]
-    pairs, count = np.unique(np.reshape(traders, (-1, 2)), axis=0, return_counts=True)
-    _check_intensity(float(pairs[:, 0].min(initial=1.0)))
-    prefactor, decay_time = _exponential_params(pairs[:, :1], pairs[:, 1:])
+    cols, lam = population._law_columns, population.intensities
+    pick = np.flatnonzero(cols.has_law(Exponential) & (lam > 0.0))
+    lam, decay = lam[pick], cols.param[pick]
+    first, count = _runs(decay, lam)  # sorted by intensity, then decay length
+    lam, decay = lam[first, None], decay[first, None]
+    _check_intensity(float(lam.min(initial=1.0)))
+    prefactor, decay_time = _exponential_params(lam, decay)
     lags = lags.astype(np.float64)
     total = np.zeros(lags.shape)
     rows = max(1, _BLOCK // max(lags.size, 1))
@@ -351,21 +367,23 @@ def powerlaw_acf_asymptote(lam: float, alpha: float, lags) -> AcfCurve:
 
 def hetero_acf_asymptote(population: Population, lags) -> AcfCurve:
     """Superposition asymptote: closed forms for exponential traders plus
-    power-law asymptotes for Pareto traders; unit-length traders contribute 0."""
+    power-law asymptotes for Pareto traders, added in trader order;
+    unit-length traders contribute 0."""
     lags = np.asarray(lags, dtype=np.int64)
+    cols, lam = population._law_columns, population.intensities
+    other = np.flatnonzero(~cols.has_law((DiscretePareto, Degenerate, Exponential)))
+    if other.size:
+        raise DomainError(
+            f"no asymptote for law kind {population.traders[other[0]].law.kind!r}; "
+            "use exact_acf_market"
+        )
     total = _exponential_sum(population, lags)
+    # a zero-intensity trader contributes exactly 0
+    pareto = np.flatnonzero(cols.has_law(DiscretePareto) & (lam > 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for lam, trader in zip(population.intensities, population.traders):
-            law = trader.law
-            if isinstance(law, DiscretePareto):
-                if lam > 0.0:  # a zero-intensity trader contributes exactly 0
-                    total += powerlaw_acf_asymptote(float(lam), law.tail_exponent,
-                                                    lags).values
-            elif not isinstance(law, (Degenerate, Exponential)):
-                raise DomainError(
-                    f"no asymptote for law kind {law.kind!r}; use exact_acf_market"
-                )
+        for lam_i, alpha in zip(lam[pareto].tolist(), cols.param[pareto].tolist()):
+            total += powerlaw_acf_asymptote(lam_i, alpha, lags).values
     return AcfCurve(lags=lags, values=total, kind="asymptotic")
 
 

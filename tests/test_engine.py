@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lmfsim import (
     ConfigError,
@@ -118,13 +121,50 @@ class TestPopulation:
         assert a.digest() != b.digest()
         assert a.digest() == Population.homogeneous(3, Degenerate()).digest()
 
-    def test_digests_match_the_per_call_serialisation(self):
+    def test_digest_is_pinned_to_the_column_definition(self):
         pop = mixed_population()
-        # the digest is pinned to this serialisation of the population
-        described = {"traders": [{"intensity": float(lam), "law": t.law.as_config()}
-                                 for lam, t in zip(pop.intensities, pop.traders)]}
-        assert pop.digest() == hashlib.sha256(
-            json.dumps(described, sort_keys=True).encode()).hexdigest()
+        # laws in order of first appearance: exponential, pareto, tabulated,
+        # degenerate; each trader is (intensity, group id, param)
+        table = pop.traders[2].law
+        keys = [["exponential"], ["pareto"],
+                ["tabulated", table.support.tobytes().hex(), table.probs.tobytes().hex()],
+                ["degenerate"]]
+        payload = (b"lmfsim population v2\n" + json.dumps(keys).encode() + b"\n"
+                   + np.asarray(pop.intensities, dtype="<f8").tobytes()
+                   + np.array([0, 1, 2, 3, 0, 1], dtype="<i4").tobytes()
+                   + np.array([4.0, 1.5, 0.0, 0.0, 30.0, 2.5], dtype="<f8").tobytes())
+        assert pop.digest() == hashlib.sha256(payload).hexdigest()
+        assert pop.digest() == (
+            "cc8e786986c31e97034120489ae5ecd372df6b7b058fa7a4b06b3f7c17a252c6")
+
+    @pytest.mark.parametrize("change", [
+        "intensity", "param", "kind", "atom_length", "atom_mass", "order"])
+    def test_digest_sees_one_trader_change(self, change):
+        traders = list(mixed_population().traders)
+        exp, pareto = traders[0], traders[1]
+        edits = {
+            "intensity": (0, TraderSpec(0.26, exp.law)),
+            "param": (0, TraderSpec(exp.intensity, Exponential(decay_length=4.5))),
+            "kind": (1, TraderSpec(pareto.intensity, Exponential(decay_length=1.5))),
+            "atom_length": (2, TraderSpec(0.15, tab({1: 0.3, 4: 0.3, 8: 0.4}))),
+            "atom_mass": (2, TraderSpec(0.15, tab({1: 0.3, 4: 0.25, 9: 0.45}))),
+        }
+        if change == "order":
+            traders[0], traders[4] = traders[4], traders[0]
+        else:
+            i, trader = edits[change]
+            traders[i] = trader
+        assert Population(traders).digest() != mixed_population().digest()
+
+    def test_digest_of_equal_populations_built_apart(self):
+        # every Tabulated is a distinct object, compared by its atoms
+        a, b = mixed_population(), mixed_population()
+        assert a.traders[2].law is not b.traders[2].law
+        assert a.digest() == b.digest()
+        decay = [2.0, 5.0, 2.0]
+        c = Population([TraderSpec(0.3, Exponential(d)) for d in decay])
+        d = Population([TraderSpec(0.3, Exponential(d)) for d in decay])
+        assert c.digest() == d.digest()
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -414,6 +454,47 @@ class TestSimulate:
             simulate(pop, 0, seed=1)
         with pytest.raises(ConfigError):
             simulate(pop, 100, seed=1, collect_lengths=[5])
+
+
+class TestStableOrder:
+    """``_stable_order`` is ``np.argsort(kind="stable")`` for trader ids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, 2, 7, 1001, 65537, 1 << 20]),
+           traders=st.sampled_from([1, 2, 10, 65535, 65536, 65537, 100_000]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_stable_argsort(self, size, traders, seed):
+        # simulate's id types: uint16 up to 65536 traders, int32 above
+        id_type = np.uint16 if traders <= 1 << 16 else np.int32
+        ids = np.random.default_rng(seed).integers(0, traders, size).astype(id_type)
+        got = engine._stable_order(ids)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(ids, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=hnp.arrays(st.sampled_from([np.uint16, np.int32]),
+                          st.integers(0, 300),
+                          elements=st.integers(0, 40)))
+    def test_small_arrays_with_repeats(self, ids):
+        assert np.array_equal(engine._stable_order(ids), np.argsort(ids, kind="stable"))
+
+    def test_extreme_ids(self):
+        ids = np.array([2**31 - 1, 0, 2**31 - 1, 5, 0], dtype=np.int32)
+        assert np.array_equal(engine._stable_order(ids), [1, 4, 3, 0, 2])
+        assert engine._stable_order(np.empty(0, np.uint16)).size == 0
+
+    def test_peak_memory_no_larger_than_argsort(self):
+        ids = np.random.default_rng(5).integers(0, 30_000, 1 << 20).astype(np.uint16)
+        peaks = []
+        for order in (lambda: np.argsort(ids, kind="stable"),
+                      lambda: engine._stable_order(ids)):
+            tracemalloc.start()
+            try:
+                order()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
 
 class TestDeterminism:

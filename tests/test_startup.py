@@ -1,9 +1,11 @@
-"""Start-up cost: which SciPy modules a run loads, and when.
+"""Start-up cost: which SciPy modules a run loads, and what it does per trader.
 
 Exponential and degenerate runs need no SciPy at all, Pareto laws load
 ``scipy.special`` when they are built (before ``run_simulate``), and only the
-enumerated-chain oracle loads ``scipy.sparse``.  Each check runs in a fresh
-interpreter, as a run does, so no other test's imports leak into it.
+enumerated-chain oracle loads ``scipy.sparse``.  A run's population-wide work
+(digest, theory, splitter ids) reads the law columns, not one law
+description per trader.  Each check runs in a fresh interpreter, as a run
+does, so no other test's imports or caches leak into it.
 """
 
 import json
@@ -112,3 +114,29 @@ def test_only_the_oracle_loads_scipy_sparse(tmp_path):
         """, tmp_path)
     assert seen["import"] == []
     assert "scipy.sparse" in seen["oracle"]
+
+
+def test_run_describes_no_law_per_trader(tmp_path):
+    # 3e4 exponential splitters with spread decay lengths: one law object
+    # per trader, so a per-trader as_config() would show as 3e4 calls
+    config = _config(tmp_path, [_group(30_000, 1.0, {
+        "kind": "exponential", "decay_length": {"rule": "pareto", "theta": 1.5}})],
+        collect_lengths="splitters")
+    seen = _stages(f"""
+        import lmfsim
+        from lmfsim.config import load_config
+        from lmfsim.laws import MetaorderLaw
+        cfg = load_config({config!r})
+        pop = cfg.build_population()
+        calls = [0]
+        for law in {{type(t.law) for t in pop.traders}} | {{MetaorderLaw}}:
+            def counted(self, _described=law.as_config):
+                calls[0] += 1
+                return _described(self)
+            law.as_config = counted
+        lmfsim.run_simulate(cfg, "out", population=pop)
+        seen["traders"] = pop.size
+        seen["as_config"] = calls[0]
+        """, tmp_path)
+    assert seen["traders"] == 30_000
+    assert seen["as_config"] == 0

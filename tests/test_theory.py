@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -283,6 +284,97 @@ class TestExponentialSum:
                 got = curve(Population(with_zero), lags).values
                 want = curve(Population(without), lags).values
                 assert np.array_equal(got, want), curve.__name__
+
+
+def _reference_exponential_sum(population, lags):
+    """Per-trader selection and np.unique grouping of the exponential closed forms."""
+    from lmfsim.theory import _BLOCK, _check_intensity, _exponential_params
+
+    traders = [(lam, t.law.decay_length) for lam, t in
+               zip(population.intensities, population.traders)
+               if isinstance(t.law, Exponential) and lam > 0.0]
+    pairs, count = np.unique(np.reshape(traders, (-1, 2)), axis=0, return_counts=True)
+    _check_intensity(float(pairs[:, 0].min(initial=1.0)))
+    prefactor, decay_time = _exponential_params(pairs[:, :1], pairs[:, 1:])
+    lags = lags.astype(np.float64)
+    total = np.zeros(lags.shape)
+    rows = max(1, _BLOCK // max(lags.size, 1))
+    for i in range(0, count.size, rows):
+        block = prefactor[i:i + rows] * np.exp(-lags / decay_time[i:i + rows])
+        block *= count[i:i + rows, None]
+        block[0] += total
+        total = block.sum(axis=0)
+    return total
+
+
+def _reference_exact_market(population, lags):
+    """Identical traders grouped by (intensity, law config) in first-seen order."""
+    total = _reference_exponential_sum(population, lags)
+    groups = {}
+    for lam, t in zip(population.intensities, population.traders):
+        if not isinstance(t.law, (Degenerate, Exponential)):
+            key = f"{lam!r}|{t.law.as_config()!r}"
+            groups.setdefault(key, [0, float(lam), t.law])[0] += 1
+    for count, lam, law in groups.values():
+        total += count * exact_acf_trader(TraderSpec(lam, law), lags).values
+    return total
+
+
+def _reference_asymptote(population, lags):
+    """Exponential closed forms, then one Pareto asymptote per trader in order."""
+    total = _reference_exponential_sum(population, lags)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for lam, trader in zip(population.intensities, population.traders):
+            if isinstance(trader.law, DiscretePareto) and lam > 0.0:
+                total += powerlaw_acf_asymptote(float(lam), trader.law.tail_exponent,
+                                                lags).values
+    return total
+
+
+def _mixed_market(seed, size):
+    """Random exponential, Pareto and unit-length traders, with zero
+    intensities and repeated (intensity, law) pairs, shuffled together."""
+    rng = np.random.default_rng(seed)
+    laws = [lambda: Exponential(float(rng.choice([2.0, 7.5, 40.0]))),
+            lambda: Exponential(float(rng.uniform(1.0, 100.0))),
+            lambda: DiscretePareto(float(rng.choice([1.3, 1.5, 1.8]))),
+            lambda: Degenerate()]
+    kinds = rng.integers(0, len(laws), size)
+    lam = rng.choice([0.0, 1e-3, 2e-3, 5e-3], size) + (rng.random(size) < 0.3) * rng.random(size) * 1e-2
+    return [TraderSpec(float(a), laws[k]()) for a, k in zip(lam, kinds)]
+
+
+class TestColumnPath:
+    """Theory reads the law columns: bit for bit the per-trader loops."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_asymptote_and_exponential_sum(self, seed):
+        pop = Population(_mixed_market(seed, 400))
+        lags = default_lags(5000)
+        assert (hetero_acf_asymptote(pop, lags).values.tobytes()
+                == _reference_asymptote(pop, lags).tobytes())
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_exact_market_with_tabulated_and_pareto(self, seed):
+        rng = np.random.default_rng(seed)
+        traders = _mixed_market(seed, 40)
+        # equal Tabulated laws built apart group together; zero-intensity
+        # and repeated generic traders are kept in place
+        for _ in range(6):
+            table = tab({1: 0.3, 4: 0.3, 9: 0.4}) if rng.random() < 0.7 else tab({2: 1.0})
+            traders.insert(int(rng.integers(0, len(traders))),
+                           TraderSpec(float(rng.choice([0.0, 4e-3])), table))
+        pop = Population(traders)
+        lags = default_lags(2000)
+        assert (exact_acf_market(pop, lags).values.tobytes()
+                == _reference_exact_market(pop, lags).tobytes())
+
+    def test_asymptote_rejects_the_first_unsupported_law(self):
+        pop = Population([TraderSpec(0.5, DiscretePareto(1.5)),
+                          TraderSpec(0.5, tab({1: 0.5, 3: 0.5}))])
+        with pytest.raises(DomainError, match="'tabulated'"):
+            hetero_acf_asymptote(pop, [10])
 
 
 class TestExponentialClosedForm:
