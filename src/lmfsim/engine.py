@@ -95,8 +95,7 @@ class TraderSpec:
 class Population:
     """Immutable collection of traders with intensities normalised to 1.
 
-    Construction rescales the intensities to an exact unit total and records
-    the multiplicative adjustment that was applied.
+    Construction rescales the intensities to an exact unit total.
     """
 
     def __init__(self, traders: Sequence[TraderSpec]):
@@ -107,7 +106,6 @@ class Population:
         total = raw.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise ConfigError(f"total intensity must be positive, got {total}")
-        self.intensity_adjustment = float(total - 1.0)
         self.intensities = raw / total
         self.intensities.setflags(write=False)
 

@@ -206,12 +206,6 @@ class DiscretePareto(MetaorderLaw):
             raise InvalidExponent(
                 f"tail_exponent must be positive, got {self.tail_exponent}"
             )
-        if self.tail_exponent > 1.0:
-            # Riemann zeta(alpha), the mean and the normaliser the stationary
-            # draws invert; computed here, so SciPy loads when the law is built
-            from scipy.special import zeta
-
-            object.__setattr__(self, "_zeta", float(zeta(self.tail_exponent)))
 
     def pmf(self, length):
         arr = _check_lengths(length).astype(np.float64)
@@ -222,6 +216,11 @@ class DiscretePareto(MetaorderLaw):
         arr = _check_lengths(length).astype(np.float64)
         return arr**-self.tail_exponent
 
+    @cached_property
+    def _zeta(self) -> float:
+        # zeta(alpha, 1): the mean and the normaliser the stationary draws invert
+        return _hurwitz_zeta(float(self.tail_exponent), 1.0)
+
     def mean_length(self) -> float:
         _check_summable(self.tail_exponent)
         return self._zeta
@@ -231,9 +230,7 @@ class DiscretePareto(MetaorderLaw):
         _check_summable(self.tail_exponent)
         if start < 1:
             raise DomainError(f"tail start must be >= 1, got {start}")
-        from scipy.special import zeta
-
-        return float(zeta(self.tail_exponent, start))
+        return _hurwitz_zeta(float(self.tail_exponent), float(start))
 
     @property
     def param(self) -> float:
@@ -255,6 +252,45 @@ class DiscretePareto(MetaorderLaw):
         return {"kind": self.kind, "alpha": self.tail_exponent}
 
 
+# Euler-Maclaurin coefficients (2k)! / B_2k of the Hurwitz zeta tail, k = 1..12
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+    1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def _hurwitz_zeta(x, q):
+    """Hurwitz zeta(x, q) = sum_{k >= 0} (q + k)**-x for x > 1 and q >= 1.
+
+    Euler-Maclaurin summation in the order of operations of Cephes' ``zeta``:
+    nine direct terms, then twelve Bernoulli corrections at w = q + 9 (all
+    of them, which only adds terms far below the last bit); for q > 1e8 the
+    two-term asymptote (1/(x-1) + 1/(2q)) q**(1-x).  Python floats stay
+    Python floats, so one scalar costs a few microseconds; arrays broadcast.
+    """
+    s = q**-x
+    a = q
+    for _ in range(9):
+        a = a + 1.0
+        b = a**-x
+        s = s + b
+    w = a
+    s = s + b * w / (x - 1.0) - 0.5 * b
+    a = 1.0
+    for j, coef in enumerate(_ZETA_A):  # a = x (x + 1) ... (x + 2j), b = w**(-x - 2j - 1)
+        a = a * (x + 2 * j)
+        b = b / w
+        s = s + a * b / coef
+        a = a * (x + (2 * j + 1))
+        b = b / w
+    far = (1.0 / (x - 1.0) + 0.5 / q) * q ** (1.0 - x)
+    if isinstance(q, np.ndarray):
+        return np.where(q > 1e8, far, s)
+    return far if q > 1e8 else s
+
+
 def _check_summable(alpha):
     if np.any(np.asarray(alpha) <= 1.0):
         raise NonconvergentMean(f"tail sum diverges for exponent {alpha} <= 1")
@@ -269,15 +305,13 @@ def _pareto_remaining(u: np.ndarray, alpha) -> np.ndarray:
     against ``u``.
     """
     _check_summable(alpha)
-    from scipy.special import zeta
-
-    target = (1.0 - u) * zeta(alpha)
+    target = (1.0 - u) * _hurwitz_zeta(alpha, 1.0)
     # in log space, so alpha near 1 clamps at the cap instead of overflowing
     log_r = -np.log((alpha - 1.0) * target) / (alpha - 1.0)
     cap = float(_REMAINING_CAP)
     r = np.clip(np.ceil(np.exp(np.minimum(log_r, math.log(cap))) - 0.5), 1.0, cap)
-    r += zeta(alpha, r + 1.0) > target
-    r -= (r > 1.0) & (zeta(alpha, r) <= target)
+    r += _hurwitz_zeta(alpha, r + 1.0) > target
+    r -= (r > 1.0) & (_hurwitz_zeta(alpha, r) <= target)
     return r.astype(np.int64)
 
 

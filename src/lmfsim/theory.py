@@ -29,9 +29,8 @@ O(max_lag**1.5) time and bounded memory.  Everything here evaluates that
 expectation and its closed-form and asymptotic reductions with explicit
 error control.
 
-``scipy.special`` is imported by the functions that evaluate binomial
-masses, so a market of exponential and unit-length traders, which takes
-only closed forms, never loads SciPy.
+Binomial masses need only log n!: a 16-entry table below n = 16 and the
+Stirling series above it, both in numpy, so no theory path loads SciPy.
 """
 
 from __future__ import annotations
@@ -129,16 +128,30 @@ def _check_intensity(lam: float):
         raise DomainError(f"intensity must lie in (0, 1], got {lam}")
 
 
+# log n! for n = 0..15, below where the Stirling series reaches double precision
+_LOG_FACTORIAL = np.log([float(math.factorial(n)) for n in range(16)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_series(n):
+    """Stirling series of ``_stirlerr``; five terms reach double precision for n > 15."""
+    nn = 1.0 / (n * n)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+
+
 def _stirlerr(n):
     """log(n!) - log(sqrt(2 pi n) (n/e)**n) for integer-valued n >= 1."""
-    from scipy.special import gammaln
-
     n = np.asarray(n, dtype=np.float64)
-    direct = gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
-    nn = 1.0 / (n * n)
-    # Stirling series; five terms reach double precision for n > 15
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
-    return np.where(n <= 15.0, direct, series)
+    small = _LOG_FACTORIAL[np.minimum(n, 15.0).astype(np.int64)]
+    direct = small - (n + 0.5) * np.log(n) + n - _HALF_LOG_2PI
+    return np.where(n <= 15.0, direct, _stirling_series(n))
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log n! for n = 0 .. count - 1: the table, then Stirling's formula."""
+    n = np.arange(16.0, max(count, 16))
+    big = (n + 0.5) * np.log(n) - n + _HALF_LOG_2PI + _stirling_series(n)
+    return np.concatenate((_LOG_FACTORIAL, big))[:count]
 
 
 def _bd0(x, m):
@@ -169,12 +182,12 @@ def binomial_pmf(t: int, lam: float, n) -> np.ndarray | float:
     n_arr = np.asarray(n, dtype=np.int64)
     if n_arr.size and (n_arr.min() < 0 or n_arr.max() > t):
         raise DomainError(f"counts must lie in [0, {t}]")
-    from scipy.special import xlog1py, xlogy
-
     n = n_arr.astype(np.float64)
-    # the mass at n in {0, t} is (1 - lam)**t or lam**t; xlogy / xlog1py give
-    # 0 * log(0) = 0, so lam in {0, 1} stays exact
-    log_pmf = np.asarray(xlogy(n, lam) + xlog1py(t - n, -lam))
+    # the mass at n in {0, t} is (1 - lam)**t or lam**t; taking 0 * log(0)
+    # as 0 keeps lam in {0, 1} exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = np.asarray(np.where(n > 0.0, n * np.log(lam), 0.0)
+                             + np.where(n < t, (t - n) * np.log1p(-lam), 0.0))
     inner = (n > 0.0) & (n < t) & (0.0 < lam < 1.0)
     if inner.any():
         x = n[inner]
@@ -191,9 +204,7 @@ def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.nda
     """``E[table[N]]``, N ~ Binomial(t, lam), for every t in ``trials`` (see above)."""
     if lam == 0.0 or lam == 1.0:  # point mass at n = 0 or n = t
         return table[trials * int(lam == 1.0)]
-    from scipy.special import gammaln
-
-    log_fact = gammaln(np.arange(1.0, trials.max(initial=0) + 2.0))  # log n!
+    log_fact = _log_factorials(int(trials.max(initial=0)) + 1)
     # log pmf(n; t) = log_head[n] + const[t] - log (t - n)!
     log_head = np.arange(log_fact.size) * (math.log(lam) - math.log1p(-lam)) - log_fact
     const = log_fact[trials] + trials * math.log1p(-lam)

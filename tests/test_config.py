@@ -141,7 +141,7 @@ class TestExperimentConfig:
         assert any("rescal" in r.message for r in caplog.records)
         pop = cfg.build_population()
         assert pop.intensities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pop.intensity_adjustment == pytest.approx(-0.5)
+        assert pop.intensities == pytest.approx([0.1] * 10, rel=1e-15)
 
     def test_build_population_expands_groups(self):
         d = base_dict(groups=[

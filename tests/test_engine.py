@@ -108,7 +108,7 @@ class TestPopulation:
         pop = Population([TraderSpec(0.25, Degenerate()),
                           TraderSpec(0.25, Degenerate())])
         assert pop.intensities.sum() == pytest.approx(1.0, abs=1e-15)
-        assert pop.intensity_adjustment == pytest.approx(-0.5)
+        assert pop.intensities == pytest.approx([0.5, 0.5], rel=1e-15)
 
     def test_homogeneous_constructor(self):
         pop = Population.homogeneous(10, Exponential(decay_length=5.0))

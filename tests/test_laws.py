@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import zeta
 
 from lmfsim import Degenerate, DiscretePareto, Exponential, Tabulated
 from lmfsim.errors import (
@@ -16,6 +15,7 @@ from lmfsim.errors import (
     NonconvergentMean,
 )
 from lmfsim.laws import (
+    _hurwitz_zeta as zeta,
     allocate_decay_lengths,
     allocate_intensities,
     intensity_rescale_factor,
@@ -219,7 +219,8 @@ class TestSampling:
         assert np.all(u < cdf[remaining] + 1e-12)
 
     def test_stationary_pareto_tail_beyond_the_table_is_exact(self):
-        # draws far out in the tail, past 2**20, against scipy's zeta tail
+        # draws far out in the tail, past 2**20, against the package's zeta
+        # tail (its accuracy is pinned to mpmath in test_numerics.py)
         law = DiscretePareto(tail_exponent=1.5)
         cap = 1 << 20
         head = law.stationary_remaining_pdf(np.arange(1, cap + 1)).sum()
@@ -231,9 +232,9 @@ class TestSampling:
         assert r[2] == other.remaining_from_uniform(u[2:3])[0]
         for ri, ui in zip(r[[1, 3]], u[[1, 3]]):
             # smallest r with P(R > r) <= 1 - u, from the zeta tail itself
-            target = (1.0 - ui) * zeta(1.5)
+            target = (1.0 - ui) * zeta(1.5, 1.0)
             assert ri > cap
-            assert zeta(1.5, ri + 1) <= target < zeta(1.5, ri)
+            assert zeta(1.5, ri + 1.0) <= target < zeta(1.5, float(ri))
 
     def test_stationary_pareto_draw_near_the_int64_cap(self):
         # the true r is below the 2**62 clamp; mpmath puts it at this value
@@ -244,14 +245,15 @@ class TestSampling:
 
     def test_stationary_pareto_draws_bracket_the_zeta_tail(self):
         # every draw r below 2**40 is the smallest with
-        # zeta(alpha, r + 1) <= (1 - u) zeta(alpha)
+        # zeta(alpha, r + 1) <= (1 - u) zeta(alpha, 1), both from the
+        # package's zeta, whose accuracy test_numerics.py pins to mpmath
         alpha = 1.05
         u = np.random.default_rng(109).random(100_000)
         r = DiscretePareto(tail_exponent=alpha).remaining_from_uniform(u)
         small = r < 2**40
         assert small.mean() > 0.5
         rf = r[small].astype(np.float64)
-        target = (1.0 - u[small]) * zeta(alpha)
+        target = (1.0 - u[small]) * zeta(alpha, 1.0)
         assert np.all(zeta(alpha, rf + 1.0) <= target)
         assert np.all(target < zeta(alpha, rf))
 

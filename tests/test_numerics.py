@@ -1,7 +1,9 @@
 """Log-space binomial mass, power-law tail sums, alias sampling, lag grids."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 
 from lmfsim import DiscretePareto
 from lmfsim.errors import DomainError, NonconvergentMean
+from lmfsim.laws import _hurwitz_zeta
 from lmfsim.numerics import AliasTable
-from lmfsim.theory import binomial_pmf, default_lags
+from lmfsim.theory import _log_factorials, _stirlerr, binomial_pmf, default_lags
 
 ZETA2 = 1.6449340668482264
 ZETA15 = 2.612375348685488      # zeta(3/2), mpmath 40 digits
@@ -56,6 +59,73 @@ class TestLogBinomPmf:
             binomial_pmf(-1, 0.5, 0)
         with pytest.raises(DomainError):
             binomial_pmf(3, 1.5, 0)
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 1000])
+    def test_end_counts_at_every_probability(self, t):
+        # n in {0, t}: 0 * log(0) counts as 0, silently, at lam in {0, 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = {lam: binomial_pmf(t, lam, np.array([0, t])) for lam in (0.0, 0.3, 1.0)}
+        assert ends[0.0].tolist() == [1.0, 1.0 if t == 0 else 0.0]
+        assert ends[1.0].tolist() == [1.0 if t == 0 else 0.0, 1.0]
+        exact = [(1 - mpmath.mpf(0.3)) ** t, mpmath.mpf(0.3) ** t]
+        # exp(t log(1 - lam)) carries the rounding of a log of size about t
+        assert ends[0.3] == pytest.approx([float(v) for v in exact],
+                                          rel=1e-15 * max(t, 10), abs=0.0)
+
+
+class TestKernelsAgainstMpmath:
+    """The numpy zeta and log-factorial kernels, against 40-digit mpmath."""
+
+    X = [1.001, 1.01, 1.05, 1.2, 1.5, 1.9, 2.0, 2.5, 3.3, 4.0]
+    # both sides of the q = 1e8 switch to the asymptote, up to the 2**62 cap
+    Q = [1.0, 1.5, 2.0, 3.7, 10.0, 123.25, 1e4, 1e6, 99_999_999.0, 1e8,
+         float(np.nextafter(1e8, 2e8)), 1e8 + 1.0, 3e8, 1e12, 2.0**40, 2.0**53,
+         2.0**62]
+
+    @staticmethod
+    def reference(x, q):
+        with mpmath.workdps(40):
+            return float(mpmath.zeta(mpmath.mpf(x), mpmath.mpf(q)))
+
+    @pytest.mark.parametrize("x", X)
+    def test_hurwitz_zeta(self, x):
+        ref = np.array([self.reference(x, q) for q in self.Q])
+        vector = _hurwitz_zeta(x, np.array(self.Q))
+        scalar = np.array([_hurwitz_zeta(x, q) for q in self.Q])
+        for ours in (vector, scalar):
+            assert np.max(np.abs(ours / ref - 1.0)) <= 2e-15
+
+    def test_pareto_mean_is_zeta_at_one(self):
+        for x in self.X:
+            assert DiscretePareto(x).mean_length() == _hurwitz_zeta(x, 1.0)
+            assert _hurwitz_zeta(x, 1.0) == pytest.approx(
+                self.reference(x, 1.0), rel=2e-15, abs=0.0)
+
+    def test_log_factorials_across_the_table_switch(self):
+        n = np.arange(61)
+        ours = _log_factorials(61)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.factorial(k))) for k in n])
+        assert ours[:2].tolist() == [0.0, 0.0]
+        assert np.all(np.abs(ours - ref) <= np.spacing(np.maximum(ref, 1.0)))
+        assert _log_factorials(3).tolist() == ours[:3].tolist()
+        big = _log_factorials(100_001)[[1000, 100_000]]
+        with mpmath.workdps(40):
+            ref = [float(mpmath.loggamma(k + 1)) for k in (1000, 100_000)]
+        assert big == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+    def test_stirlerr_across_the_table_switch(self):
+        n = np.arange(1, 41)
+        with mpmath.workdps(40):
+            log_fact = [mpmath.log(mpmath.factorial(k)) for k in n]
+            ref = np.array([float(lf - mpmath.log(mpmath.sqrt(2 * mpmath.pi * k)
+                                                  * (k / mpmath.e) ** k))
+                            for k, lf in zip(n, log_fact)])
+            scale = np.array([float(lf) for lf in log_fact])
+        # the table branch (n <= 15) cancels log n!, so its error is in ulps of log n!
+        assert np.all(np.abs(_stirlerr(n) - ref) <= 2 * np.spacing(np.maximum(scale, 1.0)))
+        assert np.all(np.abs(_stirlerr(n[15:]) / ref[15:] - 1.0) <= 1e-13)
 
 
 class TestPowerlawTailSum:

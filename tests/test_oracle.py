@@ -62,7 +62,7 @@ class TestAgainstExactFormula:
         specs = [(0.4, tab({2: 0.5, 3: 0.5})), (0.2, tab({2: 1.0}))]
         base = Population([TraderSpec(w, law) for w, law in specs])
         scaled = Population([TraderSpec(1.25 * w, law) for w, law in specs])
-        assert base.intensity_adjustment == pytest.approx(-0.4)
+        assert base.intensities == pytest.approx([2 / 3, 1 / 3], rel=1e-15)
         a = oracle_acf_small_chain(base, LAGS).values
         b = oracle_acf_small_chain(scaled, LAGS).values
         assert np.max(np.abs(a - b)) < 1e-13

@@ -1,11 +1,13 @@
 """Start-up cost: which SciPy modules a run loads, and what it does per trader.
 
-Exponential and degenerate runs need no SciPy at all, Pareto laws load
-``scipy.special`` when they are built (before ``run_simulate``), and only the
-enumerated-chain oracle loads ``scipy.sparse``.  A run's population-wide work
-(digest, theory, splitter ids) reads the law columns, not one law
-description per trader.  Each check runs in a fresh interpreter, as a run
-does, so no other test's imports or caches leak into it.
+No run loads SciPy: the Pareto zeta sums and the binomial log-factorials
+of the exact theory are numpy kernels, so import, population building,
+``run_simulate`` and the ``theory`` and ``calibrate`` commands need none,
+whatever the laws.  Only the enumerated-chain oracle loads
+``scipy.sparse``.  A run's population-wide work (digest, theory, splitter
+ids) reads the law columns, not one law description per trader.  Each
+check runs in a fresh interpreter, as a run does, so no other test's
+imports or caches leak into it.
 """
 
 import json
@@ -14,6 +16,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import lmfsim
 
@@ -89,18 +93,42 @@ def test_cli_simulate_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_pareto_laws_load_scipy_special_when_built(tmp_path):
-    # stationary Pareto draws and the dense binomial theory both use
-    # scipy.special inside run_simulate; it must already be loaded by then
-    config = _config(tmp_path, [
-        _group(3, 0.85, {"kind": "pareto", "alpha": 1.5}),
-        _group(1, 0.15, {"kind": "degenerate"}),
-    ], theory_grid="dense")
+@pytest.mark.parametrize("groups", [
+    [_group(3, 0.85, {"kind": "pareto", "alpha": 1.5}),
+     _group(1, 0.15, {"kind": "degenerate"})],
+    [_group(2, 0.6, {"kind": "tabulated", "pmf": [[1, 0.3], [4, 0.5], [9, 0.2]]}),
+     _group(1, 0.4, {"kind": "pareto", "alpha": 1.8})],
+], ids=["pareto-degenerate", "tabulated"])
+def test_pareto_and_tabulated_runs_load_no_scipy(tmp_path, groups):
+    # stationary Pareto draws, zeta means and the dense binomial theory
+    config = _config(tmp_path, groups, theory_grid="dense")
     seen = _stages(RUN.format(config=config), tmp_path)
-    assert seen["import"] == []
-    assert "scipy.special" in seen["build"]
-    assert seen["run"] == seen["build"]
-    assert not any(m.startswith(("scipy.fft", "scipy.sparse")) for m in seen["run"])
+    assert seen == {"import": [], "build": [], "run": []}
+    assert (tmp_path / "out" / "theory.csv").exists()
+
+
+def test_cli_theory_and_calibrate_on_a_pareto_config_load_no_scipy(tmp_path):
+    config = _config(tmp_path, [
+        _group(4, 0.9, {"kind": "pareto", "alpha": 1.5}),
+        _group(1, 0.1, {"kind": "degenerate"})], theory_grid="dense")
+    seen = _stages(f"""
+        import runpy
+
+        def cli(*argv):
+            sys.argv = ["lmfsim", *argv]
+            try:
+                runpy.run_module("lmfsim.cli", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                return exc.code
+
+        seen["theory"] = [cli("theory", {config!r}, "-o", "theory.csv"), scipy_modules()]
+        seen["simulate"] = [cli("simulate", {config!r}, "-o", "out"), scipy_modules()]
+        seen["calibrate"] = [cli("calibrate", "out/acf.csv", "--mu", "0.9",
+                                 "--alpha", "1.5", "--window", "5", "50"),
+                             scipy_modules()]
+        """, tmp_path)
+    assert seen == {"theory": [0, []], "simulate": [0, []], "calibrate": [0, []]}
+    assert (tmp_path / "theory.csv").stat().st_size > 0
 
 
 def test_only_the_oracle_loads_scipy_sparse(tmp_path):
