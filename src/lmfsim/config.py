@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import INIT_MODES, Population, TraderSpec
+from .engine import INIT_MODES, Population
 from .errors import ConfigError, LmfsimError
 from .laws import (
     Degenerate,
@@ -146,7 +146,13 @@ class GroupConfig:
             float(self.intensity["mass"]),
         )
 
-    def laws(self) -> list:
+    def law_column(self) -> tuple:
+        """The group's law and its per-trader ``param`` array.
+
+        A ``pareto`` decay-length rule is one ``Exponential`` law plus the
+        decay lengths of allocate_decay_lengths, which checks them as an
+        array; every other law is one object shared by the whole group.
+        """
         law_cfg = self.law
         if law_cfg.get("kind") == "exponential" and isinstance(
             law_cfg.get("decay_length"), dict
@@ -158,9 +164,9 @@ class GroupConfig:
             )
             theta = _number(float, rule["theta"], "decay_length theta")
             lengths = allocate_decay_lengths(self.count, theta)
-            return [Exponential(decay_length=float(x)) for x in lengths]
+            return Exponential(decay_length=float(lengths[0])), lengths
         law = law_from_config(law_cfg)
-        return [law] * self.count
+        return law, np.full(self.count, law.param)
 
 
 @dataclass(frozen=True)
@@ -240,19 +246,27 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def build_population(self) -> Population:
-        traders = []
+        """The config's population, filled column by column: one law per
+        batch key (groups with equal keys share it), whole-array intensities,
+        group ids and params, and no object per trader."""
+        m = sum(g.count for g in self.groups)
+        lams, param = np.empty(m), np.empty(m)
+        group = np.empty(m, dtype=np.int32)
+        keys, laws, start = {}, [], 0
         try:
             for g in self.groups:
-                lams = g.intensities()
-                laws = g.laws()
-                traders.extend(
-                    TraderSpec(float(lam), law) for lam, law in zip(lams, laws)
-                )
+                rows = slice(start, start + g.count)
+                lams[rows] = g.intensities()
+                law, param[rows] = g.law_column()
+                group[rows] = k = keys.setdefault(law.batch_key(), len(keys))
+                if k == len(laws):
+                    laws.append(law)
+                start += g.count
+            return Population._from_columns(lams, laws, group, param)
         except ConfigError:
             raise
         except LmfsimError as exc:
             raise ConfigError(f"invalid group parameters: {exc}") from exc
-        return Population(traders)
 
     def collect_mask(self, population: Population):
         if self.collect_lengths == "all":
@@ -264,7 +278,7 @@ class ExperimentConfig:
 
 def splitter_ids(population: Population) -> list[int]:
     """Indices of traders that actually split (non-unit-length laws)."""
-    return np.flatnonzero(~population._law_columns.has_law(Degenerate)).tolist()
+    return np.flatnonzero(~population.has_law(Degenerate)).tolist()
 
 
 def load_config(source) -> ExperimentConfig:

@@ -14,6 +14,9 @@ all traders in one batch.  ``np.repeat`` of the run table gives the chunk's
 signs grouped by trader, and one scatter through the stable sort of the
 selections puts them back in market order.  This is exactly the serial
 dynamics because a trader's state only changes at its own selections.
+Every draw reads the population's columns (``Population``): one batched
+inverse CDF per law group over the traders' params, and no Python object
+per trader.
 
 Random streams.  The seed (an int, a ``SeedSequence``, or a ``Generator``
 from which four 64-bit words are drawn) gives a ``SeedSequence`` with three
@@ -57,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonconvergentMean
+from .errors import ConfigError, DomainError
 from .laws import MetaorderLaw
 from .numerics import AliasTable
 
@@ -93,34 +96,83 @@ class TraderSpec:
 
 
 class Population:
-    """Immutable collection of traders with intensities normalised to 1.
+    """Immutable trader population, held as columns.
 
-    Construction rescales the intensities to an exact unit total.
+    ``intensities`` are normalised to an exact unit total.  The laws are
+    grouped by ``batch_key()``: ``laws[g]`` runs the kernels of group g,
+    ``group[i]`` is trader i's group, ``param[i]`` its law parameter and
+    ``mean[i]`` its mean length (inf where it diverges; it only sizes the
+    engine's batched draws).  ``Population(traders)`` converts hand-built
+    ``TraderSpec`` objects to these columns once; ``homogeneous`` and
+    ``ExperimentConfig.build_population`` fill them directly, so no run
+    holds one Python object per trader.  ``traders`` is a derived view,
+    built on first use.
     """
 
     def __init__(self, traders: Sequence[TraderSpec]):
         if len(traders) == 0:
             raise ConfigError("population must contain at least one trader")
-        self.traders = tuple(traders)
-        raw = np.array([t.intensity for t in self.traders], dtype=np.float64)
+        keys, laws = {}, []
+        group = np.empty(len(traders), dtype=np.int32)
+        for i, t in enumerate(traders):
+            g = keys.setdefault(t.law.batch_key(), len(keys))
+            if g == len(laws):
+                laws.append(t.law)
+            group[i] = g
+        self._set_columns([t.intensity for t in traders], laws, group,
+                          [t.law.param for t in traders])
+
+    @classmethod
+    def _from_columns(cls, intensities, laws, group, param) -> "Population":
+        """A population from its columns: raw intensities (normalised here),
+        one law per group with distinct batch keys, group ids and params."""
+        population = cls.__new__(cls)
+        population._set_columns(intensities, laws, group, param)
+        return population
+
+    def _set_columns(self, intensities, laws, group, param):
+        raw = np.asarray(intensities, dtype=np.float64)
+        # TraderSpec's check, over the whole column; NaN fails both bounds
+        bad = ~((raw >= 0.0) & (raw <= 1.0))
+        if bad.any():
+            raise DomainError(f"intensity must lie in [0, 1], got {raw[bad][0]}")
         total = raw.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise ConfigError(f"total intensity must be positive, got {total}")
         self.intensities = raw / total
-        self.intensities.setflags(write=False)
+        self.laws = tuple(laws)
+        self.group = np.asarray(group, dtype=np.int32)
+        self.param = np.asarray(param, dtype=np.float64)
+        self.mean = np.empty(raw.size)
+        for g, law in enumerate(self.laws):
+            hit = self.group == g
+            self.mean[hit] = law.mean_lengths(self.param[hit])
+        for column in (self.intensities, self.group, self.param, self.mean):
+            column.setflags(write=False)
 
     @classmethod
     def homogeneous(cls, count: int, law: MetaorderLaw, total_mass: float = 1.0):
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
-        return cls([TraderSpec(total_mass / count, law) for _ in range(count)])
+        return cls._from_columns(np.full(count, total_mass / count), [law],
+                                np.zeros(count, dtype=np.int32),
+                                np.full(count, law.param))
 
     @property
     def size(self) -> int:
-        return len(self.traders)
+        return self.intensities.size
+
+    @cached_property
+    def traders(self) -> tuple:
+        """One ``TraderSpec`` per trader, with its normalised intensity and
+        the law of its group at its param; built on first use."""
+        return tuple(
+            TraderSpec(lam, self.laws[g].with_param(p)) for lam, g, p in
+            zip(self.intensities.tolist(), self.group.tolist(), self.param.tolist())
+        )
 
     def digest(self) -> str:
-        """sha256 of the population, built from its law columns.
+        """sha256 of the population, built from its columns.
 
         Hashes, in order: ``_DIGEST_TAG``; one JSON line listing each law
         group's ``batch_key()`` (bytes as hex); then the normalised
@@ -128,52 +180,19 @@ class Population:
         (``<f8``), trader by trader.  A law is its batch key plus its param,
         so equal digests mean equal traders in the same order.
         """
-        cols = self._law_columns
-        keys = json.dumps([law.batch_key() for law in cols.laws], default=bytes.hex)
+        keys = json.dumps([law.batch_key() for law in self.laws], default=bytes.hex)
         h = hashlib.sha256(_DIGEST_TAG)
         h.update(keys.encode() + b"\n")
-        for column, dtype in ((self.intensities, "<f8"), (cols.group, "<i4"),
-                              (cols.param, "<f8")):
+        for column, dtype in ((self.intensities, "<f8"), (self.group, "<i4"),
+                              (self.param, "<f8")):
             h.update(column.astype(dtype, copy=False).tobytes())
         return h.hexdigest()
-
-    @cached_property
-    def _law_columns(self) -> "_LawColumns":
-        return _LawColumns(self.traders)
-
-
-def _mean_or_inf(law: MetaorderLaw) -> float:
-    try:
-        return law.mean_length()
-    except NonconvergentMean:
-        return math.inf
-
-
-class _LawColumns:
-    """A population's laws as one batched kernel per batch key.
-
-    ``laws[g]`` runs the kernel of group g, ``group[i]`` is trader i's group
-    and ``param[i]`` its parameter; ``mean[i]`` is its mean length (inf if
-    the mean diverges).
-    """
-
-    def __init__(self, traders: Sequence[TraderSpec]):
-        keys = {}
-        self.laws = []
-        self.group = np.empty(len(traders), dtype=np.int32)
-        for i, t in enumerate(traders):
-            g = keys.setdefault(t.law.batch_key(), len(keys))
-            if g == len(self.laws):
-                self.laws.append(t.law)
-            self.group[i] = g
-        self.param = np.array([t.law.param for t in traders], dtype=np.float64)
-        self.mean = np.array([_mean_or_inf(t.law) for t in traders])
 
     def has_law(self, kinds) -> np.ndarray:
         """Mask of the traders whose law is an instance of ``kinds``, one test per group."""
         return np.array([isinstance(law, kinds) for law in self.laws])[self.group]
 
-    def invert(self, u: np.ndarray, trader: np.ndarray, stationary: bool = False):
+    def _invert(self, u: np.ndarray, trader: np.ndarray, stationary: bool = False):
         """Lengths (or stationary remaining counts) of ``trader`` at uniforms ``u``."""
         kernel = "remaining_from_uniform" if stationary else "lengths_from_uniform"
         param = self.param[trader]
@@ -231,7 +250,7 @@ def init_state(
     if mode not in INIT_MODES:
         raise ConfigError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
     m = population.size
-    remaining = population._law_columns.invert(
+    remaining = population._invert(
         rng.random(m), np.arange(m), stationary=mode == "stationary"
     )
     signs = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.int8)
@@ -307,7 +326,7 @@ class _Traders:
 
     def __init__(self, population: Population, state: MarketState, key: np.uint64):
         m = population.size
-        self.laws = population._law_columns
+        self.population = population
         self.sign = state.signs.copy()
         self.remaining = state.remaining.copy()
         self.progress = state.progress.copy()
@@ -327,7 +346,7 @@ class _Traders:
         sign = (z & 1).astype(np.int8)
         sign += sign - 1
         u = (z >> 11) * 2.0**-53
-        return self.laws.invert(u, np.repeat(trader, count)), sign
+        return self.population._invert(u, np.repeat(trader, count)), sign
 
     def fresh_runs(self, trader: np.ndarray, need: np.ndarray, cap: int):
         """The fresh metaorders ``trader[j]`` runs through in ``need[j] >= 1`` steps.
@@ -342,7 +361,7 @@ class _Traders:
         and signs of the touched runs in trader order.
         """
         first = self.serial[trader] + 1
-        mean = self.laws.mean[trader]
+        mean = self.population.mean[trader]
         touched = np.zeros(need.size, dtype=np.int64)
         emitted = np.empty(need.size, dtype=np.int64)
         left = need.copy()  # steps the runs drawn so far leave unserved

@@ -12,7 +12,8 @@ Each law writes its two inverse CDFs once, vectorised over uniforms and over
 a parameter array (``lengths_from_uniform``, ``remaining_from_uniform``),
 which the engine's batched draws call.  Laws with equal ``batch_key()``
 share one kernel and differ only in ``param``, so the engine draws a whole
-population kind by kind.
+population kind by kind; ``mean_lengths`` is the batched mean and
+``with_param`` rebuilds one law of the kind from its parameter.
 
 All laws are immutable after construction.
 """
@@ -85,6 +86,20 @@ class MetaorderLaw:
     def batch_key(self) -> tuple:
         """Laws with equal keys share one kernel and differ only in ``param``."""
         return (self.kind,)
+
+    def with_param(self, param: float) -> "MetaorderLaw":
+        """The law of this batch key with parameter ``param``; a kind without
+        a parameter returns itself."""
+        return self
+
+    def mean_lengths(self, param) -> np.ndarray:
+        """Mean length at each of this kind's parameters ``param`` (float64
+        array), inf where the mean diverges."""
+        try:
+            mean = self.mean_length()
+        except NonconvergentMean:
+            mean = math.inf
+        return np.full(np.shape(param), mean)
 
     def lengths_from_uniform(self, u, param=None) -> np.ndarray:
         """Inverse CDF: lengths for uniforms ``u`` in [0, 1) (int64 array).
@@ -177,6 +192,12 @@ class Exponential(MetaorderLaw):
     def param(self) -> float:
         return self.decay_length
 
+    def with_param(self, param: float) -> "Exponential":
+        return Exponential(decay_length=param)
+
+    def mean_lengths(self, param) -> np.ndarray:
+        return 1.0 / -np.expm1(-1.0 / np.asarray(param, dtype=np.float64))
+
     def lengths_from_uniform(self, u, param=None):
         decay = self.decay_length if param is None else param
         # 1 - u is uniform on (0, 1]; floor transform reproduces the CCDF exactly
@@ -235,6 +256,16 @@ class DiscretePareto(MetaorderLaw):
     @property
     def param(self) -> float:
         return self.tail_exponent
+
+    def with_param(self, param: float) -> "DiscretePareto":
+        return DiscretePareto(tail_exponent=param)
+
+    def mean_lengths(self, param) -> np.ndarray:
+        alpha = np.asarray(param, dtype=np.float64)
+        mean = np.full(alpha.shape, math.inf)
+        finite = alpha > 1.0
+        mean[finite] = _hurwitz_zeta(alpha[finite], 1.0)
+        return mean
 
     def lengths_from_uniform(self, u, param=None):
         alpha = self.tail_exponent if param is None else param
@@ -459,14 +490,21 @@ def allocate_decay_lengths(count: int, theta: float) -> np.ndarray:
         decay_length_i = (1 / (1 - (i - 1)/count)) ** (1 / (theta - 1))
 
     so the multiset has CCDF ``P(decay_length >= x) ~ x**-(theta - 1)`` and the
-    largest entry is ``count ** (1/(theta-1))``.
+    largest entry is ``count ** (1/(theta-1))``.  Every entry must be a valid
+    ``Exponential`` decay length, so one that overflows (theta near 1) or is
+    NaN raises DomainError, as the law would.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if theta <= 1.0:
         raise InvalidExponent(f"theta must exceed 1, got {theta}")
     i = np.arange(1, count + 1, dtype=np.float64)
-    return (1.0 / (1.0 - (i - 1.0) / count)) ** (1.0 / (theta - 1.0))
+    with np.errstate(over="ignore"):
+        lengths = (1.0 / (1.0 - (i - 1.0) / count)) ** (1.0 / (theta - 1.0))
+    bad = ~np.isfinite(lengths)
+    if bad.any():
+        raise DomainError(f"decay_length must be positive, got {lengths[bad][0]}")
+    return lengths
 
 
 def _intensity_quantiles(count: int, beta: float, lam_cut: float) -> np.ndarray:

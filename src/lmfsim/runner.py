@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -211,10 +212,22 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     ``(lengths, offsets)`` is reduced to a count histogram before the next
     replica runs.  Every writer hashes the bytes it writes, and the sidecars
     and the manifest carry those digests.  Returns the manifest.
+
+    A ``population`` passed in must be the one the config builds (equal
+    ``digest()``); any other raises ConfigError before theory runs or the
+    directory is created.
     """
     config, out_dir = load_config(config), Path(out_dir)
-    t_start = time.perf_counter()
-    population = population or config.build_population()
+    t_start, cpu_start = time.perf_counter(), time.process_time()
+    own = config.build_population()
+    population_digest = own.digest()
+    if population is None:
+        population = own
+    elif population.digest() != population_digest:
+        raise ConfigError(
+            f"population digest {population.digest()} is not that of the "
+            f"population the config builds ({population_digest})")
+    del own
     t0 = time.perf_counter()
     theory = theory_curves(population, config.max_lag, config.theory_grid)
     t_theory = time.perf_counter() - t0
@@ -295,7 +308,7 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
         "label": config.label,
         "config": config.to_dict(),
         "config_digest": digest,
-        "population_digest": population.digest(),
+        "population_digest": population_digest,
         "trader_count": population.size,
         "seeds": seeds,
         "summary": {
@@ -310,6 +323,10 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
             "estimate_s": round(t_est, 3),
             "theory_s": round(t_theory, 3),
             "total_s": round(time.perf_counter() - t_start, 3),
+            "cpu_s": round(time.process_time() - cpu_start, 3),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         },
         "artifacts": {
             name: {"path": p.name, "sha256": sha, "bytes": p.stat().st_size}

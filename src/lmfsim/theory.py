@@ -258,17 +258,17 @@ def exact_acf_market(population: Population, lags) -> AcfCurve:
     Identical traders are grouped and computed once, the groups added in the
     order of their first trader.  Exponential and unit-length traders take
     their closed forms (verified equal to the generic sum elsewhere);
-    everything else goes through the generic sum.
+    everything else goes through the generic sum, with each group's law
+    rebuilt from the population's columns.
     """
     lags = np.asarray(lags, dtype=np.int64)
     total = _exponential_sum(population, lags)
-    cols = population._law_columns
-    generic = np.flatnonzero(~cols.has_law((Degenerate, Exponential)))
-    first, count = _runs(population.intensities[generic], cols.group[generic],
-                         cols.param[generic])
+    lam, group, param = population.intensities, population.group, population.param
+    generic = np.flatnonzero(~population.has_law((Degenerate, Exponential)))
+    first, count = _runs(lam[generic], group[generic], param[generic])
     for f, c in sorted(zip(generic[first].tolist(), count.tolist())):
-        trader = TraderSpec(float(population.intensities[f]), population.traders[f].law)
-        total += c * exact_acf_trader(trader, lags).values
+        law = population.laws[group[f]].with_param(float(param[f]))
+        total += c * exact_acf_trader(TraderSpec(float(lam[f]), law), lags).values
     return AcfCurve(lags=lags, values=total, kind="exact")
 
 
@@ -317,9 +317,9 @@ def _exponential_sum(population: Population, lags: np.ndarray) -> np.ndarray:
     """Closed forms of the population's exponential traders summed at ``lags``;
     identical traders are grouped, at most ``_BLOCK`` group x lag terms at a time.
     Zero-intensity traders never trade and contribute exactly 0."""
-    cols, lam = population._law_columns, population.intensities
-    pick = np.flatnonzero(cols.has_law(Exponential) & (lam > 0.0))
-    lam, decay = lam[pick], cols.param[pick]
+    lam = population.intensities
+    pick = np.flatnonzero(population.has_law(Exponential) & (lam > 0.0))
+    lam, decay = lam[pick], population.param[pick]
     first, count = _runs(decay, lam)  # sorted by intensity, then decay length
     lam, decay = lam[first, None], decay[first, None]
     _check_intensity(float(lam.min(initial=1.0)))
@@ -381,19 +381,17 @@ def hetero_acf_asymptote(population: Population, lags) -> AcfCurve:
     power-law asymptotes for Pareto traders, added in trader order;
     unit-length traders contribute 0."""
     lags = np.asarray(lags, dtype=np.int64)
-    cols, lam = population._law_columns, population.intensities
-    other = np.flatnonzero(~cols.has_law((DiscretePareto, Degenerate, Exponential)))
+    lam = population.intensities
+    other = np.flatnonzero(~population.has_law((DiscretePareto, Degenerate, Exponential)))
     if other.size:
-        raise DomainError(
-            f"no asymptote for law kind {population.traders[other[0]].law.kind!r}; "
-            "use exact_acf_market"
-        )
+        kind = population.laws[population.group[other[0]]].kind
+        raise DomainError(f"no asymptote for law kind {kind!r}; use exact_acf_market")
     total = _exponential_sum(population, lags)
     # a zero-intensity trader contributes exactly 0
-    pareto = np.flatnonzero(cols.has_law(DiscretePareto) & (lam > 0.0))
+    pareto = np.flatnonzero(population.has_law(DiscretePareto) & (lam > 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for lam_i, alpha in zip(lam[pareto].tolist(), cols.param[pareto].tolist()):
+        for lam_i, alpha in zip(lam[pareto].tolist(), population.param[pareto].tolist()):
             total += powerlaw_acf_asymptote(lam_i, alpha, lags).values
     return AcfCurve(lags=lags, values=total, kind="asymptotic")
 

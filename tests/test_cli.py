@@ -145,6 +145,10 @@ class TestRunSimulate:
         assert manifest["summary"]["total_selections"] == 10_000
         # degenerate trader never logs lengths
         assert "lengths_hist" not in manifest["artifacts"]
+        timings = manifest["timings_s"]
+        assert set(timings) == {"simulate_s", "estimate_s", "theory_s", "total_s",
+                                "cpu_s", "peak_rss_mb"}
+        assert timings["cpu_s"] > 0.0 and timings["peak_rss_mb"] > 0.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         m1 = run_simulate(minimal_config(label="twin"), tmp_path / "a")
@@ -564,6 +568,26 @@ class TestCliExitCodes:
         assert main(["experiment", "bounds", "--seed", "-1",
                      "-o", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_foreign_population_exits_before_any_directory(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # the config builds one unit-length trader; a run handed an
+        # exponential trader instead must not write a manifest claiming the config
+        def with_foreign_population(config, out_dir):
+            foreign = Population([TraderSpec(1.0, Exponential(decay_length=5.0))])
+            return run_simulate(config, out_dir, population=foreign)
+
+        monkeypatch.setattr("lmfsim.cli.run_simulate", with_foreign_population)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "-o", str(out)]) == EXIT_CONFIG
+        assert "population" in capsys.readouterr().err
+        assert not out.exists()
+        # the config's own population, built apart, is accepted
+        own = load_config(str(cfg_path)).build_population()
+        manifest = run_simulate(str(cfg_path), out, population=own)
+        assert manifest["population_digest"] == own.digest()
 
     def test_theory_failure_exits_before_any_replica(self, tmp_path, monkeypatch):
         # a fresh-draw start can simulate a Pareto law without a mean, but

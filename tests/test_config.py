@@ -59,7 +59,8 @@ class TestGroupConfig:
             {"count": 4, "intensity": {"rule": "equal", "mass": 1.0},
              "law": {"kind": "exponential",
                      "decay_length": {"rule": "pareto", "theta": 1.5}}})
-        lengths = [law.decay_length for law in g.laws()]
+        law, lengths = g.law_column()
+        assert law.kind == "exponential"
         assert lengths == pytest.approx([1.0, 16 / 9, 4.0, 16.0], rel=1e-12)
 
     def test_rejections(self):
