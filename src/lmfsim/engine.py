@@ -16,7 +16,10 @@ selections puts them back in market order.  This is exactly the serial
 dynamics because a trader's state only changes at its own selections.
 Every draw reads the population's columns (``Population``): one batched
 inverse CDF per law group over the traders' params, and no Python object
-per trader.
+per trader.  Chunks are ``_chunk_length(M)`` steps long, so a small
+population's run table stays cache-sized.  Each chunk's completed metaorders
+come out in trader order and are placed into the flat log by per-trader
+counts at the end, without a sort of the whole log.
 
 Random streams.  The seed (an int, a ``SeedSequence``, or a ``Generator``
 from which four 64-bit words are drawn) gives a ``SeedSequence`` with three
@@ -33,9 +36,9 @@ children, derived by spawn key:
   al., SC'11).  The top 53 bits of z are the uniform the law's inverse CDF
   turns into the length, the lowest bit is the sign.
 
-No draw therefore depends on the chunk length ``_CHUNK``, on how the fresh
-metaorders are batched or on how many were drawn ahead: the same seed gives
-the same bytes for every chunking.
+No draw therefore depends on the chunk length, on how the fresh metaorders
+are batched or on how many were drawn ahead: the same seed gives the same
+bytes for every chunking.
 
 Bookkeeping convention: the first completion of a trader logs only the
 executions that happened inside the simulated window (the initial remaining
@@ -75,7 +78,8 @@ __all__ = [
 
 INIT_MODES = ("stationary", "fresh_draw")
 
-# Steps per chunk of ``simulate``; it bounds the temporaries and changes no output.
+# Cap on the steps per chunk of ``simulate`` (see ``_chunk_length``); the
+# chunk length bounds the temporaries and changes no output.
 _CHUNK = 1 << 20
 
 # First bytes hashed by ``Population.digest``; a new digest definition gets a new tag.
@@ -495,6 +499,14 @@ def _stable_order(ids: np.ndarray) -> np.ndarray:
     return keys.view(np.int64)
 
 
+def _chunk_length(m: int) -> int:
+    """Steps per chunk for ``m`` traders: the power of two at or above 32 m
+    selections, at least 2**18 and at most ``_CHUNK``.  The floor keeps the
+    per-chunk work over the active traders amortised; small populations get
+    short chunks, so the run table and its temporaries stay cache-sized."""
+    return min(_CHUNK, max(1 << 18, 1 << (32 * m - 1).bit_length()))
+
+
 def simulate(
     population: Population,
     steps: int,
@@ -524,12 +536,14 @@ def simulate(
     keep_signs : bool
         Store the emitted sign series (int8, one byte per step).
     on_chunk : callable, optional
-        Called once per recorded chunk of at most ``_CHUNK`` steps, in order,
-        with that chunk's signs (int8, market order).  With ``keep_signs``
-        the chunk is a view into the stored series, otherwise a fresh buffer
-        that the caller may keep; either way the simulator never writes to it
-        again.  The chunks concatenate to the stored series, so a caller can
-        consume the signs while the run goes on without holding all of them.
+        Called once per recorded chunk, in order, with that chunk's signs
+        (int8, market order).  A chunk has ``_chunk_length(M)`` steps (2**18
+        up to 8192 traders, never more than ``_CHUNK``), the last one the
+        rest.  With ``keep_signs`` the chunk is a view into the stored
+        series, otherwise a fresh buffer that the caller may keep; either way
+        the simulator never writes to it again.  The chunks concatenate to
+        the stored series, so a caller can consume the signs while the run
+        goes on without holding all of them.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -556,14 +570,15 @@ def simulate(
     signs_out = np.empty(steps, dtype=np.int8) if keep_signs else None
     selection_counts = np.zeros(m, dtype=np.int64)
     # (trader, length) per chunk, each in trader order
-    logged = [(np.empty(0, id_type), np.empty(0, np.int64))]
+    logged = []
     market_sign = state0.market_sign
+    chunk_steps = _chunk_length(m)
 
     def run_span(total: int, recording: bool):
         nonlocal market_sign
         done = 0
         while done < total:
-            n = min(_CHUNK, total - done)
+            n = min(chunk_steps, total - done)
             # one double per step: column floor(u m), alias coin its fraction
             x = select_rng.random(n)
             x *= m
@@ -599,13 +614,27 @@ def simulate(
         remaining=traders.remaining,
         progress=traders.progress,
     )
-    owner, lengths = (np.concatenate(x) for x in zip(*logged))
-    logged.clear()
+    # counting placement: every piece is in trader order, so each one's
+    # entries go to their trader's next free slots, piece after piece
     offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=m), out=offsets[1:])
+    for owner, _ in logged:
+        offsets[1:] += np.bincount(owner, minlength=m)
+    np.cumsum(offsets, out=offsets)
+    lengths = np.empty(int(offsets[-1]), dtype=np.int64)
+    fill = offsets[:-1].copy()
+    logged.reverse()
+    while logged:
+        owner, piece = logged.pop()
+        count = np.bincount(owner, minlength=m)
+        # slot of entry e: fill[owner[e]] + e - (first entry of owner[e])
+        dest = (fill - (np.cumsum(count) - count))[owner]
+        dest += np.arange(owner.size)
+        lengths[dest] = piece
+        fill += count
+        del owner, piece, dest
     return SimulationOutput(
         signs=signs_out,
-        lengths=lengths[_stable_order(owner)],
+        lengths=lengths,
         offsets=offsets,
         selection_counts=selection_counts,
         final_state=final_state,

@@ -336,7 +336,13 @@ def _pareto_remaining(u: np.ndarray, alpha) -> np.ndarray:
     against ``u``.
     """
     _check_summable(alpha)
-    target = (1.0 - u) * _hurwitz_zeta(alpha, 1.0)
+    if isinstance(alpha, np.ndarray):
+        # one normaliser per distinct alpha, still on the array path
+        distinct, which = np.unique(alpha, return_inverse=True)
+        norm = _hurwitz_zeta(distinct, 1.0)[which].reshape(alpha.shape)
+    else:
+        norm = _hurwitz_zeta(alpha, 1.0)
+    target = (1.0 - u) * norm
     # in log space, so alpha near 1 clamps at the cap instead of overflowing
     log_r = -np.log((alpha - 1.0) * target) / (alpha - 1.0)
     cap = float(_REMAINING_CAP)

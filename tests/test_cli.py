@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,7 +314,7 @@ class TestRunDirectory:
         assert table[-1, 0] >= 1 << 16
         assert np.array_equal(table, reference)
 
-    def test_lengths_npy_writer_peak_memory(self, tmp_path):
+    def test_lengths_npy_writer_peak_memory(self, tmp_path, traced_peak):
         # 1e6 rows over 10 traders, the log being the flat (lengths,
         # offsets) pair simulate returns.  A writer that builds the (n, 2)
         # table first peaks at 1.5x its bytes and raises the peak memory of
@@ -323,12 +322,8 @@ class TestRunDirectory:
         lengths = np.arange(1, 1_000_001, dtype=np.int64)
         logs = [(lengths, np.arange(11) * 100_000)]
         table_bytes = lengths.size * 2 * 8
-        tracemalloc.start()
-        try:
-            _write_lengths_npy(tmp_path / "metaorders.npy", logs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: _write_lengths_npy(tmp_path / "metaorders.npy", logs))
         assert peak < 0.25 * table_bytes, peak / table_bytes
         # every trader's log spans several buffer fills
         table = np.load(tmp_path / "metaorders.npy", allow_pickle=False)

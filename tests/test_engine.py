@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,17 +222,12 @@ class TestInitState:
             for i, t in enumerate(pop.traders):
                 assert state.remaining[i] == getattr(t.law, kernel)(u[i : i + 1])[0]
 
-    def test_equal_pareto_laws_share_one_table(self):
+    def test_equal_pareto_laws_share_one_table(self, traced_peak):
         # stationary draws keep no per-law state: an 8 MB head table per law
         # instance once cost 816 MB for these 100 instances
         pop = Population([TraderSpec(0.01, DiscretePareto(tail_exponent=1.5))
                           for _ in range(100)])
-        tracemalloc.start()
-        try:
-            init_state(pop, np.random.default_rng(33))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: init_state(pop, np.random.default_rng(33)))
         assert peak < 64 * 2**20, peak
 
     def test_unknown_mode(self):
@@ -400,33 +394,44 @@ class TestSimulate:
         se = 1.0 / math.sqrt(out.steps)
         assert abs(curve.values[0] - expected) < 3 * se
 
-    def test_memory_is_chunk_bounded(self):
+    def test_memory_is_chunk_bounded(self, traced_peak):
         # 10 MB of signs and about 15 MB of metaorder log are output; the
         # temporaries stay at chunk size (an 8 Mi-step chunk peaks at 270 MB)
         pop = Population.homogeneous(10, Exponential(decay_length=5.0))
-        tracemalloc.start()
-        try:
-            out = simulate(pop, 10_000_000, seed=26)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: simulate(pop, 10_000_000, seed=26))
         assert out.selection_counts.sum() == 10_000_000
         assert peak < 96 * 2**20, peak
 
-    def test_streamed_run_does_not_hold_the_series(self):
+    def test_pareto_working_set_is_chunk_sized(self, traced_peak):
+        # the pareto-dense population (10 Pareto splitters at mass 0.85 and
+        # a noise trader) with neither log nor series: the peak is one
+        # chunk's run table, 44 MiB at 2**20-step chunks, 12 MiB at 2**18
+        pop = Population([TraderSpec(0.085, DiscretePareto(tail_exponent=1.5))
+                          for _ in range(10)] + [TraderSpec(0.15, Degenerate())])
+        out, peak = traced_peak(lambda: simulate(
+            pop, 1 << 21, seed=1, collect_lengths=False, keep_signs=False))
+        assert out.selection_counts.sum() == 1 << 21
+        assert peak < 20 * 2**20, peak
+
+    def test_log_assembly_holds_one_copy_of_the_log(self, traced_peak):
+        # 10 MB of signs and about 15 MB of log are output; regrouping the
+        # log by concatenation and a full sort held two more copies (54 MiB)
+        pop = Population.homogeneous(10, Exponential(decay_length=5.0))
+        out, peak = traced_peak(lambda: simulate(pop, 10_000_000, seed=35))
+        assert out.offsets[-1] > 1_500_000
+        assert peak < 48 * 2**20, peak
+
+    def test_streamed_run_does_not_hold_the_series(self, traced_peak):
         # the same 1e7 steps fed chunk by chunk to the ACF sums: without
-        # keep_signs the 10 MB series is never held, only a 1 MiB chunk buffer
+        # keep_signs the 10 MB series is never held, only one chunk's buffer
+        # (256 KiB at M = 10)
         pop = Population.homogeneous(10, Exponential(decay_length=5.0))
         peaks, curves = {}, {}
         for keep in (True, False):
             sums = stats._AcfSums(600)
-            tracemalloc.start()
-            try:
-                simulate(pop, 10_000_000, seed=26, collect_lengths=False,
-                         keep_signs=keep, on_chunk=sums.feed)
-                peaks[keep] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peaks[keep] = traced_peak(lambda: simulate(
+                pop, 10_000_000, seed=26, collect_lengths=False,
+                keep_signs=keep, on_chunk=sums.feed))
             curves[keep] = sums.curve().values
         assert peaks[True] - peaks[False] >= 8e6, peaks
         assert np.array_equal(curves[True], curves[False])
@@ -483,17 +488,11 @@ class TestStableOrder:
         assert np.array_equal(engine._stable_order(ids), [1, 4, 3, 0, 2])
         assert engine._stable_order(np.empty(0, np.uint16)).size == 0
 
-    def test_peak_memory_no_larger_than_argsort(self):
+    def test_peak_memory_no_larger_than_argsort(self, traced_peak):
         ids = np.random.default_rng(5).integers(0, 30_000, 1 << 20).astype(np.uint16)
-        peaks = []
-        for order in (lambda: np.argsort(ids, kind="stable"),
-                      lambda: engine._stable_order(ids)):
-            tracemalloc.start()
-            try:
-                order()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(order)[1]
+                 for order in (lambda: np.argsort(ids, kind="stable"),
+                               lambda: engine._stable_order(ids))]
         assert peaks[1] <= peaks[0], peaks
 
 
@@ -524,6 +523,70 @@ class TestDeterminism:
         assert per_trader_logs(runs[0]) == log
         assert runs[0].final_state.remaining.tolist() == rem
         assert runs[0].final_state.progress.tolist() == prog
+
+    def test_chunk_length_rule(self, monkeypatch):
+        # 32 selections per trader, rounded up to a power of two, in [2**18, _CHUNK]
+        lengths = {m: engine._chunk_length(m)
+                   for m in (1, 10, 8192, 8193, 30_000, 70_000)}
+        assert lengths == {1: 1 << 18, 10: 1 << 18, 8192: 1 << 18,
+                           8193: 1 << 19, 30_000: 1 << 20, 70_000: 1 << 20}
+        monkeypatch.setattr(engine, "_CHUNK", 1 << 23)
+        assert engine._chunk_length(70_000) == 1 << 22
+        monkeypatch.setattr(engine, "_CHUNK", 17)
+        assert engine._chunk_length(10) == 17
+
+    @pytest.mark.parametrize("m, steps", [(10, 600_000), (30_000, 1_500_000),
+                                          (70_000, 1_200_000)])
+    def test_computed_chunk_length_does_not_change_output(self, m, steps,
+                                                          monkeypatch):
+        # the default chunk length (2**18 steps at M = 10, 2**20 at M = 3e4
+        # and past 65536 ids), over several chunks, against other chunkings
+        laws = [tab({1: 0.5, 4: 0.5}), Exponential(decay_length=3.0),
+                DiscretePareto(tail_exponent=1.5)]
+        pop = Population([TraderSpec(0.1 * (1 + i % 3), laws[i % 3])
+                          for i in range(m)])
+        assert steps > engine._chunk_length(m)  # two chunks at least
+        default = simulate(pop, steps, seed=37)
+        assert default.offsets[-1] > 0
+        for c in (4096, 100_003):
+            assert_same_run(default, simulate_in_chunks(monkeypatch, c, pop,
+                                                        steps, seed=37))
+
+    def test_log_assembly_matches_a_stable_sort(self, monkeypatch):
+        # the counting placement against the concatenation plus stable
+        # argsort of the chunks' log pieces, over some 500 chunks: a
+        # collected subset, a collected trader that never completes and many
+        # chunks in which no collected trader completes
+        pop = Population([TraderSpec(0.4, Exponential(decay_length=3.0)),
+                          TraderSpec(0.3, tab({300: 1.0})),
+                          TraderSpec(0.2, DiscretePareto(tail_exponent=1.5)),
+                          TraderSpec(0.1, tab({50: 0.5, 80: 0.5})),
+                          TraderSpec(0.0, Degenerate())])
+        collect = [1, 3, 4]
+        pieces, advance = [], engine._Traders.advance
+
+        def spy(traders, counts, cap, collected):
+            result = advance(traders, counts, cap, collected)
+            pieces.append(result[-1])
+            return result
+
+        monkeypatch.setattr(engine._Traders, "advance", spy)
+        out = simulate_in_chunks(monkeypatch, 101, pop, 50_000, seed=36,
+                                 collect_lengths=collect)
+        assert len(pieces) == 496
+        assert sum(owner.size == 0 for owner, _ in pieces) > 300
+        owner = np.concatenate([owner for owner, _ in pieces])
+        lengths = np.concatenate([lengths for _, lengths in pieces])
+        assert np.array_equal(out.lengths, lengths[np.argsort(owner, kind="stable")])
+        assert np.array_equal(out.offsets[1:],
+                              np.cumsum(np.bincount(owner, minlength=pop.size)))
+        assert out.offsets[0] == 0
+        logged = np.diff(out.offsets)
+        assert logged[[0, 2, 4]].tolist() == [0, 0, 0]
+        assert logged[[1, 3]].min() > 10
+        _, log, _, _ = serial_reference(pop, 50_000, 36, "stationary", 0)
+        assert per_trader_logs(out) == [log[i] if i in collect else []
+                                        for i in range(pop.size)]
 
     @pytest.mark.parametrize("init_mode", ["stationary", "fresh_draw"])
     def test_matches_the_step_by_step_reference(self, init_mode, monkeypatch):

@@ -257,6 +257,20 @@ class TestSampling:
         assert np.all(zeta(alpha, rf + 1.0) <= target)
         assert np.all(target < zeta(alpha, rf))
 
+    def test_stationary_pareto_param_array_brackets_each_zeta_tail(self):
+        # repeated exponents share one normaliser per distinct value; every
+        # draw still brackets its own tail against the normaliser evaluated
+        # trader by trader over the whole param array
+        rng = np.random.default_rng(110)
+        alpha = rng.choice([1.05, 1.5, 2.5, 3.7], size=50_000)
+        u = rng.random(alpha.size)
+        r = DiscretePareto(tail_exponent=1.5).remaining_from_uniform(u, alpha)
+        small = r < 2**40
+        rf, a = r[small].astype(np.float64), alpha[small]
+        target = (1.0 - u[small]) * zeta(alpha, 1.0)[small]
+        assert np.all(zeta(a, rf + 1.0) <= target)
+        assert np.all(target < zeta(a, rf))
+
     def test_stationary_pareto_infinite_mean_raises(self):
         rng = np.random.default_rng(107)
         with pytest.raises(NonconvergentMean):

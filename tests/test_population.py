@@ -3,7 +3,6 @@ operations, and they agree with the per-trader construction."""
 
 import importlib.util
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,16 +140,11 @@ class _Counted:
         monkeypatch.setattr(cls, "__post_init__", counted)
 
 
-def test_decay_rule_group_builds_one_law_and_little_memory(monkeypatch):
+def test_decay_rule_group_builds_one_law_and_little_memory(monkeypatch, traced_peak):
     cfg = _config([_group(100_000, DECAY_RULE, mass=1.0)])
     counts = {cls: _Counted(monkeypatch, cls)
               for cls in (TraderSpec, Exponential, DiscretePareto, Tabulated)}
-    tracemalloc.start()
-    try:
-        pop = cfg.build_population()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pop, peak = traced_peak(cfg.build_population)
     assert pop.size == 100_000
     assert {cls.__name__: c.calls for cls, c in counts.items()} == {
         "TraderSpec": 0, "Exponential": 1, "DiscretePareto": 0, "Tabulated": 0}

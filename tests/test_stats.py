@@ -1,6 +1,5 @@
 """ACF estimators, empirical distributions, power-law fitting."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,15 +151,10 @@ class TestBlockedAcf:
         assert np.array_equal(tiny, default)
         assert np.array_equal(tiny, acf_direct(signs, np.arange(1, 31)))
 
-    def test_memory_is_blocked(self):
+    def test_memory_is_blocked(self, traced_peak):
         signs = np.random.default_rng(3).choice(
             np.array([-1, 1], dtype=np.int8), size=10_000_000)
-        tracemalloc.start()
-        try:
-            acf_estimate(signs, 600)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: acf_estimate(signs, 600))
         assert peak < 64e6  # one full-length float64 FFT takes about 240 MB
 
     def test_rejects_non_sign_input(self):

@@ -1,7 +1,6 @@
 """Exact ACF formulas, closed forms, asymptotes, prefactor inequalities."""
 
 import math
-import tracemalloc
 import warnings
 
 import mpmath
@@ -226,15 +225,10 @@ class TestBinomialExpectation:
         shared = dense[geometric.lags - 1]
         assert np.allclose(geometric.values, shared, rtol=1e-14, atol=0.0)
 
-    def test_dense_grid_memory_is_blocked(self):
+    def test_dense_grid_memory_is_blocked(self, traced_peak):
         trader = TraderSpec(0.5, DiscretePareto(tail_exponent=1.5))
         lags = np.arange(1, 10_001)
-        tracemalloc.start()
-        try:
-            exact_acf_trader(trader, lags)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: exact_acf_trader(trader, lags))
         assert peak < 64 * 2**20
 
 
