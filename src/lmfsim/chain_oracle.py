@@ -2,10 +2,12 @@
 
 The full phase space (market sign, per-trader sign and remaining count) is
 finite whenever every law has finite support.  This module enumerates it,
-builds the one-step transition matrix, extracts the stationary distribution
-by (lazy) power iteration and computes sign autocorrelations from matrix
-powers.  It shares no code with the analytic formulas, which is the point:
-it is the independent referee for them.
+collects the one-step transitions as ``(rows, cols, probs)`` triplets,
+extracts the stationary distribution by (lazy) power iteration and computes
+sign autocorrelations from repeated steps.  Every product with the
+transition matrix is one weighted ``np.bincount`` over the triplets, so the
+oracle needs nothing beyond numpy.  It shares no code with the analytic
+formulas, which is the point: it is the independent referee for them.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ class ChainOracle:
     """Enumerated chain with its stationary distribution."""
 
     radices: np.ndarray          # per-trader digit count 2 * Lmax_i
-    transition: "scipy.sparse.csr_matrix"  # row-stochastic, shape (n, n)
+    # the transition matrix as triplets: P[rows[k], cols[k]] += probs[k]
+    rows: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
     stationary: np.ndarray
     market_sign: np.ndarray      # g(x) per state
     digits: np.ndarray           # per-state per-trader digit, shape (n, M)
 
     def acf(self, lags) -> AcfCurve:
-        """C_tau = E[g(X_1) g(X_{1+tau})] under stationarity, by matrix powers."""
+        """C_tau = E[g(X_1) g(X_{1+tau})] under stationarity, by repeated steps."""
         lags = np.asarray(lags, dtype=np.int64)
         if lags.size and lags.min() < 1:
             raise DomainError("oracle lags must be >= 1")
@@ -58,7 +63,9 @@ class ChainOracle:
         values = {}
         h = self.market_sign.astype(np.float64)
         for t in range(1, (max(wanted) if wanted else 0) + 1):
-            h = self.transition @ h
+            # h <- P h, i.e. h(x) = E[h(X_{t+1}) | X_t = x]
+            h = np.bincount(self.rows, weights=self.probs * h[self.cols],
+                            minlength=h.size)
             if t in wanted:
                 values[t] = float(np.dot(weights, h))
         return AcfCurve(
@@ -78,8 +85,6 @@ class ChainOracle:
 
 def build_oracle(population: Population) -> ChainOracle:
     """Enumerate the chain of a finite-support population and solve it."""
-    import scipy.sparse as sp
-
     m = population.size
     supports = [_finite_support(t.law) for t in population.traders]
     radices = np.array([2 * int(s[0].max()) for s in supports], dtype=np.int64)
@@ -127,19 +132,17 @@ def build_oracle(population: Population) -> ChainOracle:
                         np.full(int(done.sum()), float(lam) * float(mass) * 0.5)
                     )
 
-    transition = sp.coo_matrix(
-        (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_states, n_states),
-    ).tocsr()
-    row_sums = np.asarray(transition.sum(axis=1)).ravel()
+    rows, cols, probs = (np.concatenate(a) for a in (rows, cols, probs))
+    row_sums = np.bincount(rows, weights=probs, minlength=n_states)
     if np.max(np.abs(row_sums - 1.0)) > 1e-12:
         raise LmfsimError("transition matrix rows do not sum to 1")
 
     # lazy power iteration: same fixed point, immune to periodic chains
-    back = transition.T.tocsr()
     pi = np.full(n_states, 1.0 / n_states)
     for _ in range(_MAX_ITERATIONS):
-        nxt = 0.5 * (pi + back @ pi)
+        # pi P, i.e. (pi P)(y) = sum of pi(x) P(x, y) over x
+        nxt = 0.5 * (pi + np.bincount(cols, weights=probs * pi[rows],
+                                      minlength=n_states))
         nxt /= nxt.sum()
         delta = float(np.max(np.abs(nxt - pi)))
         pi = nxt
@@ -153,7 +156,9 @@ def build_oracle(population: Population) -> ChainOracle:
 
     return ChainOracle(
         radices=radices,
-        transition=transition,
+        rows=rows,
+        cols=cols,
+        probs=probs,
         stationary=pi,
         market_sign=2.0 * market_bit - 1.0,
         digits=digits,

@@ -155,10 +155,11 @@ class Population:
             column.setflags(write=False)
 
     @classmethod
-    def homogeneous(cls, count: int, law: MetaorderLaw, total_mass: float = 1.0):
+    def homogeneous(cls, count: int, law: MetaorderLaw):
+        """``count`` traders of equal intensity under one ``law``."""
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
-        return cls._from_columns(np.full(count, total_mass / count), [law],
+        return cls._from_columns(np.full(count, 1.0 / count), [law],
                                 np.zeros(count, dtype=np.int32),
                                 np.full(count, law.param))
 

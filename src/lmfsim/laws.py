@@ -118,9 +118,6 @@ class MetaorderLaw:
         rem = _check_lengths(remaining)
         return self.ccdf(rem) / self.mean_length()
 
-    def as_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Degenerate(MetaorderLaw):
@@ -146,9 +143,6 @@ class Degenerate(MetaorderLaw):
         return np.ones(np.shape(u), dtype=np.int64)
 
     remaining_from_uniform = lengths_from_uniform
-
-    def as_config(self) -> dict:
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,6 @@ class Exponential(MetaorderLaw):
     # memoryless: the stationary remaining count has the law of L itself
     remaining_from_uniform = lengths_from_uniform
 
-    def as_config(self) -> dict:
-        return {"kind": self.kind, "decay_length": self.decay_length}
-
 
 @dataclass(frozen=True)
 class DiscretePareto(MetaorderLaw):
@@ -239,8 +230,9 @@ class DiscretePareto(MetaorderLaw):
 
     @cached_property
     def _zeta(self) -> float:
-        # zeta(alpha, 1): the mean and the normaliser the stationary draws invert
-        return _hurwitz_zeta(float(self.tail_exponent), 1.0)
+        # zeta(alpha, 1) on a 1-d array, as the engine's batched means and
+        # stationary draws evaluate it, so the three agree bit for bit
+        return float(_hurwitz_zeta(np.array([self.tail_exponent]), 1.0)[0])
 
     def mean_length(self) -> float:
         _check_summable(self.tail_exponent)
@@ -251,7 +243,7 @@ class DiscretePareto(MetaorderLaw):
         _check_summable(self.tail_exponent)
         if start < 1:
             raise DomainError(f"tail start must be >= 1, got {start}")
-        return _hurwitz_zeta(float(self.tail_exponent), float(start))
+        return float(_hurwitz_zeta(self.tail_exponent, start))
 
     @property
     def param(self) -> float:
@@ -279,9 +271,6 @@ class DiscretePareto(MetaorderLaw):
         alpha = self.tail_exponent if param is None else param
         return _pareto_remaining(np.asarray(u, dtype=np.float64), alpha)
 
-    def as_config(self) -> dict:
-        return {"kind": self.kind, "alpha": self.tail_exponent}
-
 
 # Euler-Maclaurin coefficients (2k)! / B_2k of the Hurwitz zeta tail, k = 1..12
 _ZETA_A = (
@@ -298,9 +287,13 @@ def _hurwitz_zeta(x, q):
     Euler-Maclaurin summation in the order of operations of Cephes' ``zeta``:
     nine direct terms, then twelve Bernoulli corrections at w = q + 9 (all
     of them, which only adds terms far below the last bit); for q > 1e8 the
-    two-term asymptote (1/(x-1) + 1/(2q)) q**(1-x).  Python floats stay
-    Python floats, so one scalar costs a few microseconds; arrays broadcast.
+    two-term asymptote (1/(x-1) + 1/(2q)) q**(1-x).  ``x`` and ``q``
+    broadcast.  numpy takes the ``pow`` of scalars from libm and that of
+    arrays from its SIMD loops, which can differ in the last bit, so a
+    caller that must match an array's entries passes an array.
     """
+    x = np.asarray(x, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     s = q**-x
     a = q
     for _ in range(9):
@@ -317,9 +310,7 @@ def _hurwitz_zeta(x, q):
         a = a * (x + (2 * j + 1))
         b = b / w
     far = (1.0 / (x - 1.0) + 0.5 / q) * q ** (1.0 - x)
-    if isinstance(q, np.ndarray):
-        return np.where(q > 1e8, far, s)
-    return far if q > 1e8 else s
+    return np.where(q > 1e8, far, s)
 
 
 def _check_summable(alpha):
@@ -336,13 +327,10 @@ def _pareto_remaining(u: np.ndarray, alpha) -> np.ndarray:
     against ``u``.
     """
     _check_summable(alpha)
-    if isinstance(alpha, np.ndarray):
-        # one normaliser per distinct alpha, still on the array path
-        distinct, which = np.unique(alpha, return_inverse=True)
-        norm = _hurwitz_zeta(distinct, 1.0)[which].reshape(alpha.shape)
-    else:
-        norm = _hurwitz_zeta(alpha, 1.0)
-    target = (1.0 - u) * norm
+    alpha = np.asarray(alpha, dtype=np.float64)
+    # one normaliser per distinct alpha
+    distinct, which = np.unique(alpha, return_inverse=True)
+    target = (1.0 - u) * _hurwitz_zeta(distinct, 1.0)[which].reshape(alpha.shape)
     # in log space, so alpha near 1 clamps at the cap instead of overflowing
     log_r = -np.log((alpha - 1.0) * target) / (alpha - 1.0)
     cap = float(_REMAINING_CAP)
@@ -446,12 +434,6 @@ class Tabulated(MetaorderLaw):
         r = prev + 1 + np.floor((u - below) / step).astype(np.int64)
         return np.clip(r, prev + 1, self.support[k])
 
-    def as_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pmf": [[int(s), float(p)] for s, p in zip(self.support, self.probs)],
-        }
-
 
 def _real(value) -> float:
     """``float(value)`` of a JSON number; a boolean or a string is not one."""
@@ -461,7 +443,10 @@ def _real(value) -> float:
 
 
 def law_from_config(config: dict) -> MetaorderLaw:
-    """Build a law from its JSON-style description (see ``as_config``)."""
+    """Build a law from the ``law`` field of a config group: ``{"kind":
+    "degenerate"}``, ``{"kind": "exponential", "decay_length": L}``,
+    ``{"kind": "pareto", "alpha": a}`` or ``{"kind": "tabulated", "pmf":
+    [[length, prob], ...]}``."""
     if not isinstance(config, dict) or "kind" not in config:
         raise DomainError("law config must be a dict with a 'kind' field")
     kind = config["kind"]

@@ -211,7 +211,10 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     ``save_signs`` writes it.  Each replica's flat metaorder log
     ``(lengths, offsets)`` is reduced to a count histogram before the next
     replica runs.  Every writer hashes the bytes it writes, and the sidecars
-    and the manifest carry those digests.  Returns the manifest.
+    and the manifest carry those digests.  Returns the manifest.  Its
+    ``timings_s.peak_rss_mb`` is the process's ``ru_maxrss`` high-water mark,
+    so a run after others in one process (a preset's cases) reports theirs
+    too.
 
     A ``population`` passed in must be the one the config builds (equal
     ``digest()``); any other raises ConfigError before theory runs or the

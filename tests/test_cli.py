@@ -564,6 +564,16 @@ class TestCliExitCodes:
                      "-o", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_experiment_oracle(self, tmp_path, capsys):
+        # the enumeration referee against the exact ACF and the stationary
+        # remaining-volume laws, through the CLI
+        assert main(["experiment", "oracle", "-o", str(tmp_path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report == json.loads((tmp_path / "oracle" / "report.json").read_text())
+        assert report["cases"]
+        assert report["max_abs_diff"] < 1e-10
+        assert report["max_marginal_diff"] < 1e-10
+
     def test_foreign_population_exits_before_any_directory(self, tmp_path,
                                                            monkeypatch, capsys):
         # the config builds one unit-length trader; a run handed an

@@ -102,6 +102,15 @@ class TestKernelsAgainstMpmath:
             assert _hurwitz_zeta(x, 1.0) == pytest.approx(
                 self.reference(x, 1.0), rel=2e-15, abs=0.0)
 
+    def test_scalar_zeta_is_the_batched_zeta(self):
+        # libm pow (Python and numpy scalars) and numpy's SIMD array pow can
+        # differ in the last bit; a law's own mean must equal, bit for bit,
+        # the batched mean and the normaliser of the engine's stationary draws
+        alpha = np.random.default_rng(2000).uniform(1.05, 3.0, 2000)
+        means = np.array([DiscretePareto(a).mean_length() for a in alpha.tolist()])
+        assert np.array_equal(means, DiscretePareto(2.0).mean_lengths(alpha))
+        assert np.array_equal(means, _hurwitz_zeta(alpha, 1.0))
+
     def test_log_factorials_across_the_table_switch(self):
         n = np.arange(61)
         ours = _log_factorials(61)

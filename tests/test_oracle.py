@@ -92,8 +92,12 @@ class TestMarginals:
         oracle = build_oracle(pop)
         assert oracle.stationary.min() >= 0.0
         assert oracle.stationary.sum() == pytest.approx(1.0, abs=1e-10)
-        # pushing the stationary vector through the chain leaves it fixed
-        resid = oracle.stationary @ oracle.transition - oracle.stationary
+        # pushing the stationary vector through the chain leaves it fixed:
+        # (pi P)(y) sums pi(x) P(x, y) over the transition triplets into y
+        pi = oracle.stationary
+        pushed = np.zeros_like(pi)
+        np.add.at(pushed, oracle.cols, oracle.probs * pi[oracle.rows])
+        resid = pushed - pi
         assert np.max(np.abs(resid)) < 1e-10
 
 

@@ -183,5 +183,9 @@ def test_bad_columns_are_config_errors(group):
     (1, DiscretePareto(1.5), -1.0),
 ])
 def test_bad_homogeneous_intensity_is_a_domain_error(count, law, mass):
+    # equal intensities mass / count: outside an experiment config, the
+    # whole-column check raises TraderSpec's DomainError
     with pytest.raises(DomainError):
-        Population.homogeneous(count, law, total_mass=mass)
+        Population._from_columns(np.full(count, mass / count), [law],
+                                 np.zeros(count, dtype=np.int32),
+                                 np.full(count, law.param))

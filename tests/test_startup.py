@@ -1,15 +1,15 @@
 """Start-up cost: which SciPy modules a run loads, and what it does per trader.
 
-No run loads SciPy: the Pareto zeta sums and the binomial log-factorials
-of the exact theory are numpy kernels, so import, population building,
-``run_simulate`` and the ``theory`` and ``calibrate`` commands need none,
-whatever the laws.  Only the enumerated-chain oracle loads
-``scipy.sparse``.  A run's population-wide work (digest, theory, splitter
-ids) reads the law columns, not one law description per trader.  Each
-check runs in a fresh interpreter, as a run does, so no other test's
-imports or caches leak into it.
+numpy is lmfsim's only runtime dependency: no module under ``lmfsim``
+imports SciPy, and import, population building, ``run_simulate``, the
+``theory`` and ``calibrate`` commands and the enumerated-chain oracle load
+none of it, whatever the laws.  A run's population-wide work (digest,
+theory, splitter ids) reads the law columns, not one law per trader.  Each
+run-time check runs in a fresh interpreter, as a run does, so no other
+test's imports or caches leak into it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -131,22 +131,36 @@ def test_cli_theory_and_calibrate_on_a_pareto_config_load_no_scipy(tmp_path):
     assert (tmp_path / "theory.csv").stat().st_size > 0
 
 
-def test_only_the_oracle_loads_scipy_sparse(tmp_path):
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_lmfsim_needs_no_scipy(tmp_path):
+    # no import statement anywhere in the package, top level or nested
+    files = sorted((SRC / "lmfsim").rglob("*.py"))
+    assert files
+    offenders = {f"{path.name}: {name}" for path in files
+                 for name in _imported_modules(path)
+                 if name.split(".")[0] == "scipy"}
+    assert not offenders
+    # and an oracle build, the last user of scipy.sparse, loads none of it
     seen = _stages("""
         from lmfsim import Population, Tabulated, TraderSpec
         from lmfsim.chain_oracle import build_oracle
-        seen["import"] = scipy_modules()
         pop = Population([TraderSpec(0.5, Tabulated(support=[1, 3], probs=[0.4, 0.6]))])
-        build_oracle(pop)
+        build_oracle(pop).acf([1, 2, 3])
         seen["oracle"] = scipy_modules()
         """, tmp_path)
-    assert seen["import"] == []
-    assert "scipy.sparse" in seen["oracle"]
+    assert seen == {"oracle": []}
 
 
 def test_run_describes_no_law_per_trader(tmp_path):
-    # 3e4 exponential splitters with spread decay lengths: one law object
-    # per trader, so a per-trader as_config() would show as 3e4 calls
+    # 3e4 exponential splitters with spread decay lengths: rebuilding one
+    # law per trader (``with_param``) would show as 3e4 calls
     config = _config(tmp_path, [_group(30_000, 1.0, {
         "kind": "exponential", "decay_length": {"rule": "pareto", "theta": 1.5}})],
         collect_lengths="splitters")
@@ -157,14 +171,15 @@ def test_run_describes_no_law_per_trader(tmp_path):
         cfg = load_config({config!r})
         pop = cfg.build_population()
         calls = [0]
-        for law in {{type(t.law) for t in pop.traders}} | {{MetaorderLaw}}:
-            def counted(self, _described=law.as_config):
-                calls[0] += 1
-                return _described(self)
-            law.as_config = counted
+        for law in [MetaorderLaw, *MetaorderLaw.__subclasses__()]:
+            if "with_param" in vars(law):
+                def counted(self, param, _rebuild=law.with_param):
+                    calls[0] += 1
+                    return _rebuild(self, param)
+                law.with_param = counted
         lmfsim.run_simulate(cfg, "out", population=pop)
         seen["traders"] = pop.size
-        seen["as_config"] = calls[0]
+        seen["with_param"] = calls[0]
         """, tmp_path)
     assert seen["traders"] == 30_000
-    assert seen["as_config"] == 0
+    assert seen["with_param"] == 0

@@ -302,12 +302,12 @@ def _reference_exponential_sum(population, lags):
 
 
 def _reference_exact_market(population, lags):
-    """Identical traders grouped by (intensity, law config) in first-seen order."""
+    """Identical traders grouped by intensity, batch key and param, first seen first."""
     total = _reference_exponential_sum(population, lags)
     groups = {}
     for lam, t in zip(population.intensities, population.traders):
         if not isinstance(t.law, (Degenerate, Exponential)):
-            key = f"{lam!r}|{t.law.as_config()!r}"
+            key = (float(lam), t.law.batch_key(), t.law.param)
             groups.setdefault(key, [0, float(lam), t.law])[0] += 1
     for count, lam, law in groups.values():
         total += count * exact_acf_trader(TraderSpec(lam, law), lags).values
