@@ -27,7 +27,7 @@ from . import __version__
 from .chain_oracle import build_oracle
 from .config import ExperimentConfig, load_config, splitter_ids
 from .engine import Population, TraderSpec, simulate
-from .errors import ConfigError, DomainError, EmptyLog, LmfsimError
+from .errors import ConfigError, DomainError, EmptyLog, InsufficientPoints, LmfsimError
 from .laws import Degenerate, Tabulated, intensity_rescale_factor
 from .stats import (  # acf_estimate: bench/worker.py spans it by this module's name
     EmpiricalDistribution,
@@ -355,7 +355,8 @@ def calibrate_curve(lags, values, mu: float = 0.8, gamma: float | None = None,
     """Fit a power law to an observed ACF and bound the splitter count below.
 
     With ``gamma`` given, only the prefactor is estimated (mean log-offset at
-    the pinned slope); otherwise both come from the log-log fit.
+    the pinned slope); otherwise both come from the log-log fit.  Either way,
+    fewer than 5 usable points in the window raise InsufficientPoints.
     """
     lags = np.asarray(lags, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -369,7 +370,7 @@ def calibrate_curve(lags, values, mu: float = 0.8, gamma: float | None = None,
     else:
         inside = (lags >= window[0]) & (lags <= window[1]) & (values > 0.0)
         if inside.sum() < 5:
-            raise DomainError("fewer than 5 usable points at the pinned slope")
+            raise InsufficientPoints("fewer than 5 usable points at the pinned slope")
         offsets = np.log(values[inside]) + gamma * np.log(lags[inside])
         gamma_hat = float(gamma)
         prefactor = float(np.exp(np.mean(offsets)))

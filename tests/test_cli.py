@@ -22,7 +22,7 @@ from lmfsim import (
 from lmfsim import engine, stats
 from lmfsim.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
 from lmfsim.engine import simulate
-from lmfsim.errors import ConfigError, DomainError
+from lmfsim.errors import ConfigError, DomainError, InsufficientPoints
 from lmfsim.laws import Exponential, Tabulated
 from lmfsim.runner import (
     _case_entry,
@@ -408,6 +408,15 @@ class TestCalibration:
         assert report["inputs"]["rows"] == 2000
         assert json.loads(out.read_text())["alpha"] == pytest.approx(
             report["alpha"])
+
+    @pytest.mark.parametrize("gamma", [None, 0.5])
+    def test_too_few_window_points_raise_insufficient_points(self, gamma):
+        # 5 lags in the window, one of them with a non-positive value
+        lags = np.arange(1, 2001, dtype=np.float64)
+        values = lags**-0.5
+        values[101] = 0.0
+        with pytest.raises(InsufficientPoints):
+            calibrate_curve(lags, values, gamma=gamma, window=(100.0, 104.0))
 
     def test_alpha_and_gamma_conflict(self, tmp_path):
         lags = np.arange(1, 2001)
