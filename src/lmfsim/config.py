@@ -34,7 +34,6 @@ from .engine import INIT_MODES, Population
 from .errors import ConfigError, LmfsimError
 from .laws import (
     Degenerate,
-    Exponential,
     allocate_decay_lengths,
     allocate_intensities,
     law_from_config,
@@ -159,12 +158,12 @@ class GroupConfig:
         ):
             rule = law_cfg["decay_length"]
             _require(
-                rule.get("rule") == "pareto" and "theta" in rule,
+                rule.keys() == {"rule", "theta"} and rule["rule"] == "pareto",
                 "decay_length rule must be {'rule': 'pareto', 'theta': ...}",
             )
             theta = _number(float, rule["theta"], "decay_length theta")
             lengths = allocate_decay_lengths(self.count, theta)
-            return Exponential(decay_length=float(lengths[0])), lengths
+            return law_from_config({**law_cfg, "decay_length": lengths[0]}), lengths
         law = law_from_config(law_cfg)
         return law, np.full(self.count, law.param)
 

@@ -446,31 +446,34 @@ def law_from_config(config: dict) -> MetaorderLaw:
     """Build a law from the ``law`` field of a config group: ``{"kind":
     "degenerate"}``, ``{"kind": "exponential", "decay_length": L}``,
     ``{"kind": "pareto", "alpha": a}`` or ``{"kind": "tabulated", "pmf":
-    [[length, prob], ...]}``."""
+    [[length, prob], ...]}``; any other key is refused."""
     if not isinstance(config, dict) or "kind" not in config:
         raise DomainError("law config must be a dict with a 'kind' field")
-    kind = config["kind"]
+    rest = dict(config)  # the keys no kind has read yet
+    kind = rest.pop("kind")
     try:
         if kind == "degenerate":
-            return Degenerate()
-        if kind == "exponential":
-            return Exponential(decay_length=_real(config["decay_length"]))
-        if kind == "pareto":
-            return DiscretePareto(tail_exponent=_real(config["alpha"]))
-        if kind == "tabulated":
-            atoms = config["pmf"]
-            support = [a[0] for a in atoms]
-            probs = [a[1] for a in atoms]
+            law = Degenerate()
+        elif kind == "exponential":
+            law = Exponential(decay_length=_real(rest.pop("decay_length")))
+        elif kind == "pareto":
+            law = DiscretePareto(tail_exponent=_real(rest.pop("alpha")))
+        elif kind == "tabulated":
+            support, probs = zip(*[(length, prob) for length, prob in rest.pop("pmf")])
             if any(isinstance(v, (bool, str)) for v in support + probs):
                 raise TypeError("pmf atoms must be numbers, not booleans or strings")
-            return Tabulated(support=np.asarray(support), probs=np.asarray(probs))
+            law = Tabulated(support=np.asarray(support), probs=np.asarray(probs))
+        else:
+            raise DomainError(f"unknown law kind {kind!r}")
     except LmfsimError:  # the law's own check, already typed
         raise
     except KeyError as exc:
         raise DomainError(f"{kind!r} law config is missing {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed {kind!r} law config {config}: {exc}") from exc
-    raise DomainError(f"unknown law kind {kind!r}")
+    if rest:
+        raise DomainError(f"unknown {kind!r} law keys: {sorted(rest)}")
+    return law
 
 
 def allocate_decay_lengths(count: int, theta: float) -> np.ndarray:

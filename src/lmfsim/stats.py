@@ -267,67 +267,55 @@ def fit_powerlaw(x, y, window=None) -> PowerLawFit:
     )
 
 
-def _log_bins(x: np.ndarray):
-    """Geometric bin edges spanning ``x`` and the bin index of each ``x``."""
+def _log_bin(x, weights, window):
+    """Bin the points ``x`` inside ``window`` (all of them if None) into
+    ``_BINS_PER_DECADE`` geometric bins per decade, from the smallest to the
+    largest point; the bins are half-open [e_b, e_{b+1}) except the last,
+    which is closed.  For each non-empty bin, returns the geometric mean of
+    its points, their number, the sum of their ``weights`` and the number of
+    integers in the bin.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if window is not None:
+        keep = (x >= window[0]) & (x <= window[1])
+        x, weights = x[keep], weights[keep]
+    if x.size == 0:
+        raise InsufficientPoints("no points to bin")
     lo, hi = x.min(), x.max()
     n_bins = max(1, int(np.ceil((np.log10(hi) - np.log10(lo)) * _BINS_PER_DECADE)))
     edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
-    edges[-1] *= 1.0 + 1e-12
-    return edges, np.digitize(x, edges) - 1
+    edges[0], edges[-1] = lo, hi * (1.0 + 1e-12)
+    which = np.digitize(x, edges) - 1
+    n = np.bincount(which, minlength=n_bins)
+    full = n > 0
+    centre = np.exp(np.bincount(which, np.log(x), n_bins)[full] / n[full])
+    width = np.diff(np.ceil(np.minimum(edges, hi + 1)))
+    return centre, n[full], np.bincount(which, weights, n_bins)[full], width[full]
 
 
 def log_bin_curve(x, y, window=None):
     """Average a curve inside geometric bins; returns (x_centre, y_mean, n_in_bin).
 
-    Bin centres are the geometric means of the member x values, y is their
+    The bins are 8 per decade, from the smallest to the largest x in the
+    window, half-open [e_b, e_{b+1}) except the last, which is closed.  Bin
+    centres are the geometric means of the member x values, y is their
     arithmetic mean; empty bins are dropped.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if window is not None:
-        keep = (x >= window[0]) & (x <= window[1])
-        x, y = x[keep], y[keep]
-    if x.size == 0:
-        raise InsufficientPoints("no points to bin")
-    edges, which = _log_bins(x)
-    xs, ys, ns = [], [], []
-    for b in range(edges.size - 1):
-        sel = which == b
-        if not np.any(sel):
-            continue
-        xs.append(np.exp(np.mean(np.log(x[sel]))))
-        ys.append(np.mean(y[sel]))
-        ns.append(int(sel.sum()))
-    return np.array(xs), np.array(ys), np.array(ns)
+    centre, n, y_sum, _ = _log_bin(x, y, window)
+    return centre, y_sum / n, n
 
 
 def log_bin_density(dist: EmpiricalDistribution, window=None):
     """Log-binned probability density of an integer distribution.
 
-    Each bin reports (total count in bin) / (total * number of integers in
-    the bin): the average per-integer mass, directly comparable to a PMF.
+    The bins are those of ``log_bin_curve`` on the support inside the window;
+    a bin's width is the number of integers it holds.  Each bin reports
+    (total count in bin) / (total * width): the average per-integer mass,
+    directly comparable to a PMF.
     """
-    support = dist.support.astype(np.float64)
-    counts = dist.counts
-    if window is not None:
-        keep = (support >= window[0]) & (support <= window[1])
-        support, counts = support[keep], counts[keep]
-    if support.size == 0:
-        raise InsufficientPoints("no support points to bin")
-    edges, which = _log_bins(support)
-    hi = support.max()
-    xs, dens = [], []
-    total = dist.total
-    for b in range(edges.size - 1):
-        sel = which == b
-        if not np.any(sel):
-            continue
-        lo_int = math.ceil(edges[b])
-        hi_int = math.floor(min(edges[b + 1], hi) * (1.0 + 1e-15))
-        width = max(1, hi_int - lo_int + 1)
-        xs.append(np.exp(np.mean(np.log(support[sel]))))
-        dens.append(counts[sel].sum() / (total * width))
-    return np.array(xs), np.array(dens)
+    centre, _, mass, width = _log_bin(dist.support, dist.counts, window)
+    return centre, mass / (dist.total * width)
 
 
 def fit_acf_powerlaw(curve: AcfCurve, window) -> PowerLawFit:

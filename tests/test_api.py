@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 import lmfsim
 
@@ -94,3 +97,16 @@ def test_runner_keeps_the_names_the_benchmark_swaps():
     for name in calls:
         assert callable(getattr(runner, name, None)), name
     assert "population" in inspect.signature(runner.run_simulate).parameters
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demos_run(path, monkeypatch, capsys):
+    # each demo's main() on a short run: a demo that breaks at run time fails here
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    for name, value in (("STEPS", 200_000), ("REPLICAS", 1)):
+        if hasattr(demo, name):
+            monkeypatch.setattr(demo, name, value)
+    demo.main()
+    assert capsys.readouterr().out

@@ -159,11 +159,19 @@ class TestExperimentConfig:
         assert pop.traders[3].law.kind == "degenerate"
 
     def test_bad_group_parameters_become_config_errors(self):
-        d = base_dict()
-        d["groups"][0]["law"] = {"kind": "exponential",
-                                 "decay_length": {"rule": "pareto", "theta": 1.0}}
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(d).build_population()
+        for law in (
+            {"kind": "exponential", "decay_length": {"rule": "pareto", "theta": 1.0}},
+            # unknown keys, which would otherwise enter the config digest unread
+            {"kind": "pareto", "alpha": 1.5, "alhpa": 2},
+            {"kind": "degenerate", "decay_length": 3},
+            {"kind": "tabulated", "pmf": [[1, 0.5, 99], [2, 0.5]]},
+            {"kind": "exponential",
+             "decay_length": {"rule": "pareto", "theta": 1.5, "x": 1}},
+        ):
+            d = base_dict()
+            d["groups"][0]["law"] = law
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(d).build_population()
 
     def test_collect_mask_modes(self):
         pop = Population([

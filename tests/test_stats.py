@@ -276,6 +276,10 @@ class TestLogBinning:
         y = x**-0.5
         bx, by, bn = log_bin_curve(x, y)
         assert bn.sum() == x.size
+        # sorted x: each bin is one slice, reduced to its geometric-mean x and mean y
+        members = np.split(np.arange(x.size), np.cumsum(bn)[:-1])
+        assert np.allclose(bx, [np.exp(np.log(x[m]).mean()) for m in members], rtol=1e-12, atol=0)
+        assert np.allclose(by, [y[m].mean() for m in members], rtol=1e-12, atol=0)
         fit = fit_powerlaw(bx, by)
         assert fit.exponent == pytest.approx(0.5, abs=0.01)
 
@@ -284,6 +288,10 @@ class TestLogBinning:
         bx, _, bn = log_bin_curve(x, x, window=(10.0, 100.0))
         assert bx.min() >= 10.0 and bx.max() <= 100.0
         assert bn.sum() == 91
+        # 10**log10(2000) rounds above 2000: the window's lowest point still counts
+        lags = np.arange(1, 100_001, dtype=np.float64)
+        _, _, bn = log_bin_curve(lags, lags, window=(2000.0, 1e5))
+        assert bn.sum() == 98_001
 
     def test_density_matches_pmf(self):
         # geometric samples: density bins reproduce the per-integer mass
@@ -293,6 +301,11 @@ class TestLogBinning:
         xs, dens = log_bin_density(dist, window=(1, 50))
         want = 0.02 * (1 - 0.02) ** (xs - 1.0)
         assert np.allclose(dens, want, rtol=0.05)
+        # a flat histogram: no bin counts an integer at its open upper edge
+        flat = EmpiricalDistribution(support=np.arange(10, 1001),
+                                     counts=np.ones(991, dtype=np.int64))
+        _, dens = log_bin_density(flat)
+        assert np.allclose(dens, 1 / 991, rtol=1e-12, atol=0)
 
     def test_empty_window(self):
         with pytest.raises(InsufficientPoints):
