@@ -3,8 +3,8 @@
 Four subcommands: ``simulate`` runs a JSON config and writes the artifact
 set, ``theory`` evaluates exact curves without simulating, ``experiment``
 runs a named validation preset, ``calibrate`` fits an observed ACF and
-reports the splitter-count bound.  Exit codes: 0 on success, 2 for config
-or input problems, 3 for any other model-level error.
+reports the splitter-count bound.  Exit codes: 0 on success, 2 for config,
+input or output-path problems, 3 for any other model-level error.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     config = load_config(args.config)
-    population = config.build_population()
     grid = args.grid or config.theory_grid
-    curves = theory_curves(population, config.max_lag, grid)
+    curves = theory_curves(config.population, config.max_lag, grid)
     if args.out is None:
         sys.stdout.flush()
         write_theory_csv(sys.stdout.buffer, curves)
@@ -125,6 +124,9 @@ def main(argv=None) -> int:
     except LmfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_MODEL
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ __all__ = ["GroupConfig", "ExperimentConfig", "load_config", "splitter_ids"]
 
 log = logging.getLogger(__name__)
 
-_INTENSITY_RULES = ("equal", "explicit", "pareto")
+# the keys each intensity rule takes, all of them required
+_INTENSITY_KEYS = {"equal": {"rule", "mass"}, "explicit": {"rule", "values"},
+                   "pareto": {"rule", "mass", "beta", "lambda_cut"}}
 _COLLECT_MODES = ("splitters", "all", "none")
 _GRID_KINDS = ("geometric", "dense")
 
@@ -101,27 +104,20 @@ class GroupConfig:
         intensity = dict(d["intensity"])
         rule = intensity.get("rule")
         _require(
-            rule in _INTENSITY_RULES,
-            f"intensity rule must be one of {_INTENSITY_RULES}, got {rule!r}",
+            isinstance(rule, str) and rule in _INTENSITY_KEYS,
+            f"intensity rule must be one of {tuple(_INTENSITY_KEYS)}, got {rule!r}",
         )
-        if rule == "equal":
-            _known_keys(intensity, {"rule", "mass"}, "intensity")
-            _require("mass" in intensity, "'equal' intensity needs a mass")
-            numbers = [intensity["mass"]]
-        elif rule == "explicit":
-            _known_keys(intensity, {"rule", "values"}, "intensity")
-            numbers = intensity.get("values")
+        keys = _INTENSITY_KEYS[rule]
+        _require(intensity.keys() == keys,
+                 f"{rule!r} intensity takes the keys {sorted(keys)}, got {list(intensity)}")
+        if rule == "explicit":
+            numbers = intensity["values"]
             _require(
                 isinstance(numbers, (list, tuple)) and len(numbers) == count,
                 "'explicit' intensity needs one value per trader",
             )
         else:
-            _known_keys(
-                intensity, {"rule", "mass", "beta", "lambda_cut"}, "intensity"
-            )
-            for key in ("mass", "beta", "lambda_cut"):
-                _require(key in intensity, f"'pareto' intensity needs {key!r}")
-            numbers = [intensity[k] for k in ("mass", "beta", "lambda_cut")]
+            numbers = [v for k, v in intensity.items() if k != "rule"]
         for x in numbers:
             _number(float, x, f"{rule!r} intensity value")
         _require(isinstance(d["law"], dict), "law must be an object")
@@ -245,27 +241,28 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def build_population(self) -> Population:
-        """The config's population, filled column by column: one law per
-        batch key (groups with equal keys share it), whole-array intensities,
-        group ids and params, and no object per trader."""
-        m = sum(g.count for g in self.groups)
-        lams, param = np.empty(m), np.empty(m)
-        group = np.empty(m, dtype=np.int32)
-        keys, laws, start = {}, [], 0
+        """A fresh build of the config's population, filled column by column:
+        one law per group (``Population`` merges equal batch keys),
+        whole-array intensities and params, and no object per trader."""
+        counts = [g.count for g in self.groups]
+        lams, param = np.empty(sum(counts)), np.empty(sum(counts))
+        group = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        laws, start = [], 0
         try:
             for g in self.groups:
                 rows = slice(start, start + g.count)
                 lams[rows] = g.intensities()
                 law, param[rows] = g.law_column()
-                group[rows] = k = keys.setdefault(law.batch_key(), len(keys))
-                if k == len(laws):
-                    laws.append(law)
+                laws.append(law)
                 start += g.count
             return Population._from_columns(lams, laws, group, param)
         except ConfigError:
             raise
         except LmfsimError as exc:
             raise ConfigError(f"invalid group parameters: {exc}") from exc
+
+    # the population its runs share, built on first use
+    population = cached_property(build_population)
 
     def collect_mask(self, population: Population):
         if self.collect_lengths == "all":

@@ -116,25 +116,23 @@ class Population:
     def __init__(self, traders: Sequence[TraderSpec]):
         if len(traders) == 0:
             raise ConfigError("population must contain at least one trader")
-        keys, laws = {}, []
-        group = np.empty(len(traders), dtype=np.int32)
-        for i, t in enumerate(traders):
-            g = keys.setdefault(t.law.batch_key(), len(keys))
-            if g == len(laws):
-                laws.append(t.law)
-            group[i] = g
-        self._set_columns([t.intensity for t in traders], laws, group,
-                          [t.law.param for t in traders])
+        self._set_columns([t.intensity for t in traders], [t.law for t in traders],
+                          np.arange(len(traders)), [t.law.param for t in traders])
 
     @classmethod
     def _from_columns(cls, intensities, laws, group, param) -> "Population":
         """A population from its columns: raw intensities (normalised here),
-        one law per group with distinct batch keys, group ids and params."""
+        laws, ``group[i]`` indexing trader i's law in ``laws``, and params."""
         population = cls.__new__(cls)
         population._set_columns(intensities, laws, group, param)
         return population
 
     def _set_columns(self, intensities, laws, group, param):
+        # laws with equal batch keys form one group, numbered in order of
+        # first appearance and run by the first law of the key
+        keys = {}
+        merged = np.array([keys.setdefault(law.batch_key(), (len(keys), law))[0]
+                           for law in laws], dtype=np.int32)
         raw = np.asarray(intensities, dtype=np.float64)
         # TraderSpec's check, over the whole column; NaN fails both bounds
         bad = ~((raw >= 0.0) & (raw <= 1.0))
@@ -144,8 +142,8 @@ class Population:
         if not np.isfinite(total) or total <= 0.0:
             raise ConfigError(f"total intensity must be positive, got {total}")
         self.intensities = raw / total
-        self.laws = tuple(laws)
-        self.group = np.asarray(group, dtype=np.int32)
+        self.laws = tuple(law for _, law in keys.values())
+        self.group = merged[group]
         self.param = np.asarray(param, dtype=np.float64)
         self.mean = np.empty(raw.size)
         for g, law in enumerate(self.laws):
@@ -274,10 +272,11 @@ def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
     if collect_lengths is False or collect_lengths is None:
         return np.zeros(size, dtype=bool)
     mask = np.zeros(size, dtype=bool)
-    idx = np.asarray(list(collect_lengths), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ConfigError("collect_lengths indices out of range")
-    mask[idx] = True
+    idx = np.asarray(list(collect_lengths))
+    # a boolean or float array is not read as indices; [] collects nothing
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= size):
+        raise ConfigError(f"collect_lengths must be integer trader indices in [0, {size})")
+    mask[idx.astype(np.int64)] = True
     return mask
 
 
@@ -532,7 +531,7 @@ def simulate(
     init_mode : {"stationary", "fresh_draw"}
         A stationary start records from the first step; a fresh draw first
         discards ``ceil(10 / min positive intensity)`` warm-up steps.
-    collect_lengths : bool or iterable of trader indices
+    collect_lengths : bool or iterable of integer trader indices
         Which traders append completed metaorders to the log.
     keep_signs : bool
         Store the emitted sign series (int8, one byte per step).

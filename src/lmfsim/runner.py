@@ -216,21 +216,24 @@ def run_simulate(config, out_dir, population: Population | None = None) -> dict:
     so a run after others in one process (a preset's cases) reports theirs
     too.
 
-    A ``population`` passed in must be the one the config builds (equal
-    ``digest()``); any other raises ConfigError before theory runs or the
-    directory is created.
+    The run uses ``config.population``.  A ``population`` passed in must be
+    the one the config builds: it is compared by ``digest()`` with a fresh
+    build, which is then dropped, and any other raises ConfigError before
+    theory runs or the directory is created.
     """
     config, out_dir = load_config(config), Path(out_dir)
     t_start, cpu_start = time.perf_counter(), time.process_time()
-    own = config.build_population()
-    population_digest = own.digest()
     if population is None:
-        population = own
-    elif population.digest() != population_digest:
-        raise ConfigError(
-            f"population digest {population.digest()} is not that of the "
-            f"population the config builds ({population_digest})")
-    del own
+        population = config.population
+        population_digest = population.digest()
+    else:
+        own = config.build_population()
+        population_digest = own.digest()
+        if population.digest() != population_digest:
+            raise ConfigError(
+                f"population digest {population.digest()} is not that of the "
+                f"population the config builds ({population_digest})")
+        del own
     t0 = time.perf_counter()
     theory = theory_curves(population, config.max_lag, config.theory_grid)
     t_theory = time.perf_counter() - t0
@@ -413,12 +416,6 @@ def run_calibrate(acf_path, mu: float = 0.8, gamma: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-# Default base seed of each seeded preset; ``run_experiment(base_seed=...)``
-# (``lmfsim experiment --seed``) overrides it.
-PRESET_SEEDS = {"fig3": 11_000, "fig4": 12_000, "fig5": 13_000, "fig7": 14_000,
-                "bounds": 15_000}
-
-
 def _case_config(label, seed, steps, replicas, max_lag, groups,
                  collect_lengths="none", **kw):
     return ExperimentConfig.from_dict(dict(
@@ -470,12 +467,12 @@ def _run_case(out_dir: Path, cfg: ExperimentConfig):
     """Run a preset case into ``out_dir / label``; returns that directory, the
     population, and the sample ACF of ``acf.csv`` and the ``exact`` rows of
     ``theory.csv`` read back (shortest-repr floats, so bit for bit)."""
-    case_dir, population = out_dir / cfg.label, cfg.build_population()
-    run_simulate(cfg, case_dir, population)
+    case_dir = out_dir / cfg.label
+    run_simulate(cfg, case_dir)
     rows = np.genfromtxt(case_dir / "theory.csv", delimiter=",", names=True,
                          dtype=None, encoding="utf-8")
     exact = rows[rows["kind"] == "exact"]
-    return (case_dir, population, read_acf_csv(case_dir / "acf.csv"),
+    return (case_dir, cfg.population, read_acf_csv(case_dir / "acf.csv"),
             AcfCurve(lags=exact["lag"], values=exact["value"], kind="exact"))
 
 
@@ -494,7 +491,7 @@ def _acf_comparison(steps: int, exact: AcfCurve, curve: AcfCurve):
     }
 
 
-def _experiment_fig3(out_dir: Path, base_seed: int) -> dict:
+def _experiment_fig3(out_dir: Path, base_seed: int = 11_000) -> dict:
     """Homogeneous exponential market: three decay lengths, closed-form check."""
     report = {"name": "fig3", "cases": []}
     for j, decay in enumerate((2.0, 5.0, 10.0)):
@@ -538,7 +535,7 @@ def _fig4_entry(out_dir: Path, cfg, mu, alpha, splitter_count) -> dict:
     return entry
 
 
-def _experiment_fig4(out_dir: Path, base_seed: int) -> dict:
+def _experiment_fig4(out_dir: Path, base_seed: int = 12_000) -> dict:
     """Pareto splitters plus noise traders: quantitative and qualitative cells."""
     report = {"name": "fig4", "cases": [], "qualitative": []}
     for j, mu in enumerate((1.0, 0.85, 0.7)):
@@ -555,7 +552,7 @@ def _experiment_fig4(out_dir: Path, base_seed: int) -> dict:
     return report
 
 
-def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
+def _experiment_fig5(out_dir: Path, base_seed: int = 13_000) -> dict:
     """1000 equal-intensity exponential splitters with allocated decay lengths.
 
     The superposition scaling regime opens at lags around M (each trader is
@@ -600,7 +597,7 @@ def _experiment_fig5(out_dir: Path, base_seed: int) -> dict:
     return report
 
 
-def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
+def _experiment_fig7(out_dir: Path, base_seed: int = 14_000) -> dict:
     """1000 exponential splitters with power-law intensity profiles.
 
     Normalising the intensities to unit total mass stretches every trader
@@ -645,7 +642,7 @@ def _experiment_fig7(out_dir: Path, base_seed: int) -> dict:
     return report
 
 
-def _experiment_bounds(out_dir: Path, base_seed: int) -> dict:
+def _experiment_bounds(out_dir: Path, base_seed: int = 15_000) -> dict:
     rng = np.random.default_rng(base_seed)
     alphas = (1.1, 1.3, 1.5, 1.7, 1.9)
     n_vectors = 10_000
@@ -724,7 +721,9 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, out_dir, base_seed: int | None = None) -> dict:
-    """Run one named experiment preset; writes report.json under out_dir/name."""
+    """Run one named experiment preset; writes report.json under out_dir/name.
+
+    ``base_seed`` overrides the default in the preset's signature."""
     if name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
@@ -733,8 +732,7 @@ def run_experiment(name: str, out_dir, base_seed: int | None = None) -> dict:
         raise ConfigError(f"base seed must be >= 0, got {base_seed}")
     out = Path(out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
-    if base_seed is None:
-        base_seed = PRESET_SEEDS.get(name)
-    report = EXPERIMENTS[name](out, base_seed)
+    seed = {} if base_seed is None else {"base_seed": base_seed}
+    report = EXPERIMENTS[name](out, **seed)
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return report

@@ -330,14 +330,25 @@ class TestRunDirectory:
         assert np.array_equal(table[:, 0], np.repeat(np.arange(10), 100_000))
         assert np.array_equal(table[:, 1], lengths)
 
-    def test_experiment_case_writes_a_full_run_directory(self, tmp_path):
+    def test_experiment_case_writes_a_full_run_directory(self, tmp_path, monkeypatch):
         cfg = load_config(minimal_config(
             label="exp-decay-2", steps=20_000, replicas=2, max_lag=600,
             collect_lengths="all",
             groups=[{"count": 10, "intensity": {"rule": "equal", "mass": 1.0},
                      "law": {"kind": "exponential", "decay_length": 2.0}}],
         ))
+        builds = []
+        set_columns = Population._set_columns
+
+        def counted(population, *columns):
+            builds.append(population)
+            set_columns(population, *columns)
+
+        monkeypatch.setattr(Population, "_set_columns", counted)
         case_dir, pop, curve, exact = _run_case(tmp_path, cfg)
+        # one build per case: the run and the report share the config's population
+        assert len(builds) == 1
+        assert pop is cfg.population
         entry = _case_entry(case_dir, cfg)
         assert entry["dir"] == str(tmp_path / cfg.label)
         manifest = json.loads((case_dir / "manifest.json").read_text())
@@ -442,6 +453,16 @@ class TestCliExitCodes:
         bad.write_text(json.dumps(minimal_config(steps=10)))
         assert main(["simulate", str(bad), "-o", str(tmp_path / "out3")]) \
             == EXIT_CONFIG
+
+    def test_unwritable_output_paths_exit_with_the_config_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        # simulate into an existing file; theory into a missing directory
+        assert main(["simulate", str(cfg_path), "-o", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["theory", str(cfg_path), "-o",
+                     str(tmp_path / "missing" / "dir" / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_theory_stdout(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -158,6 +158,13 @@ class TestExperimentConfig:
         assert pop.traders[0].law.kind == "exponential"
         assert pop.traders[3].law.kind == "degenerate"
 
+    def test_population_is_built_once_and_build_population_always(self):
+        cfg = ExperimentConfig.from_dict(base_dict())
+        assert cfg.population is cfg.population
+        assert cfg.build_population() is not cfg.build_population()
+        assert cfg.build_population().digest() == cfg.population.digest()
+        assert "population" not in cfg.to_dict()
+
     def test_bad_group_parameters_become_config_errors(self):
         for law in (
             {"kind": "exponential", "decay_length": {"rule": "pareto", "theta": 1.0}},

@@ -459,6 +459,12 @@ class TestSimulate:
             simulate(pop, 0, seed=1)
         with pytest.raises(ConfigError):
             simulate(pop, 100, seed=1, collect_lengths=[5])
+        # a boolean mask or a float is not an index list; [] collects nothing
+        three = Population.homogeneous(3, Exponential(5.0))
+        for bad in (np.array([False, False, True]), [1.7]):
+            with pytest.raises(ConfigError):
+                simulate(three, 10_000, seed=1, collect_lengths=bad)
+        assert simulate(three, 10_000, seed=1, collect_lengths=[]).lengths.size == 0
 
 
 class TestStableOrder:

@@ -2,7 +2,10 @@
 operations, and they agree with the per-trader construction."""
 
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +108,16 @@ def test_view_round_trips_and_is_built_once():
     assert Population(pop.traders).digest() == pop.digest()
 
 
-def _workload_configs():
+def _bench_run():
+    """``bench/run.py`` as a module."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    return {name: make(1) for name, make in bench.WORKLOADS.items()}
+    return bench
+
+
+def _workload_configs():
+    return {name: make(1) for name, make in _bench_run().WORKLOADS.items()}
 
 
 @pytest.mark.parametrize("name", ["readme-exp10", "many-splitters", "pareto-dense"])
@@ -189,3 +197,31 @@ def test_bad_homogeneous_intensity_is_a_domain_error(count, law, mass):
         Population._from_columns(np.full(count, mass / count), [law],
                                  np.zeros(count, dtype=np.int32),
                                  np.full(count, law.param))
+
+
+def test_laws_with_equal_batch_keys_share_one_group():
+    pop = Population._from_columns([0.5, 0.5], [Exponential(2.0), Exponential(3.0)],
+                                   [0, 1], [2.0, 3.0])
+    assert pop.laws == (Exponential(2.0),)
+    assert pop.group.tolist() == [0, 0]
+    assert pop.group.dtype == np.int32
+    assert pop.digest() == Population([TraderSpec(0.5, Exponential(2.0)),
+                                       TraderSpec(0.5, Exponential(3.0))]).digest()
+
+
+def test_traced_bench_worker_runs(tmp_path):
+    # the benchmark measures untraced runs only, so run one traced operation here
+    bench = _bench_run()
+    config = tmp_path / "many-splitters.json"
+    config.write_text(json.dumps({**bench.WORKLOADS["many-splitters"](1), "steps": 200_000}))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), str(config),
+         str(tmp_path / "out"), "1"],
+        env=bench.worker_env(), cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert set(result["layers"]) == {
+        "config.build_population_s", "numerics.alias_build_s", "engine.init_state_s",
+        "engine.simulate_s", "stats.acf_estimate_s", "stats.aggregate_lengths_s",
+        "theory.exact_acf_market_s", "theory.hetero_acf_asymptote_s", "runner.write_s"}
+    assert result["problems"] == []
