@@ -9,14 +9,14 @@ fresh symmetric sign.
 ``simulate`` is the production path.  It iterates neither step by step nor
 trader by trader.  Each chunk of steps draws its trader selections, counts
 them per trader and lays every active trader's signs down as runs: the rest
-of its current metaorder, then as many fresh metaorders as its count needs,
-all traders in one batch.  ``np.repeat`` of the run table gives the chunk's
-signs grouped by trader, and one scatter through the stable sort of the
-selections puts them back in market order.  This is exactly the serial
-dynamics because a trader's state only changes at its own selections.
-Every draw reads the population's columns (``Population``): one batched
-inverse CDF per law group over the traders' params, and no Python object
-per trader.  Chunks are ``_chunk_length(M)`` steps long, so a small
+of its current metaorder, then fresh metaorders up to the one its next
+selection falls into, all traders in one batch.  ``np.repeat`` of the run
+table gives the chunk's signs grouped by trader, and one scatter through the
+stable sort of the selections puts them back in market order.  This is
+exactly the serial dynamics because a trader's state only changes at its own
+selections.  Every draw reads the population's columns (``Population``): one
+batched inverse CDF per law group over the traders' params, and no Python
+object per trader.  Chunks are ``_chunk_length(M)`` steps long, so a small
 population's run table stays cache-sized.  Each chunk's completed metaorders
 come out in trader order and are placed into the flat log by per-trader
 counts at the end, without a sort of the whole log.
@@ -353,21 +353,23 @@ class _Traders:
         return self.population._invert(u, np.repeat(trader, count)), sign
 
     def fresh_runs(self, trader: np.ndarray, need: np.ndarray, cap: int):
-        """The fresh metaorders ``trader[j]`` runs through in ``need[j] >= 1`` steps.
+        """The fresh metaorders of ``trader[j]`` when it serves ``need[j] >= 0``
+        steps after its current metaorder ends, up to the one the step after
+        those falls into: its new current metaorder, 0 to length - 1 served.
 
         Each round draws every pending trader a batch sized from its mean
         length, at least 4**round (for laws without a mean) but never more
-        than it still needs (every length is >= 1, so that always suffices).
+        than ``need + 1`` (every length is >= 1, so that always suffices).
         A trader whose batch falls short keeps it whole and continues in the
         next round from the metaorder after it; keyed draws make the result
         independent of the batch sizes.  Returns the number of runs touched
-        and the steps emitted from the last one, per trader, and the lengths
+        and the steps served from the last one, per trader, and the lengths
         and signs of the touched runs in trader order.
         """
         first = self.serial[trader] + 1
         mean = self.population.mean[trader]
         touched = np.zeros(need.size, dtype=np.int64)
-        emitted = np.empty(need.size, dtype=np.int64)
+        served = np.empty(need.size, dtype=np.int64)
         left = need.copy()  # steps the runs drawn so far leave unserved
         pieces = []
         pending = np.arange(need.size)
@@ -375,17 +377,18 @@ class _Traders:
         while pending.size:
             k = left[pending] / mean[pending]  # expected runs to serve `left`
             b = np.maximum((k + np.sqrt(k)).astype(np.int64) + 1, least)
-            b = np.minimum(left[pending], b)
+            b = np.minimum(left[pending] + 1, b)
             least *= 4
             start = np.cumsum(b) - b
             lengths, signs = self.draw(
                 trader[pending], first[pending] + touched[pending], b
             )
-            # clipping at the chunk length leaves the first crossing of `left` in place
+            # `left` is below the chunk length, so clipping at it leaves the
+            # first run that reaches past `left` in place
             clipped = np.minimum(lengths, cap)
             reach = np.cumsum(clipped)
             before = reach[start] - clipped[start]
-            cross = np.searchsorted(reach, before + left[pending])
+            cross = np.searchsorted(reach, before + left[pending], side="right")
             found = cross < start + b
             # a short trader keeps its whole batch, a found one up to the crossing
             stop = np.where(found, cross + 1, start + b)
@@ -397,12 +400,12 @@ class _Traders:
                 (pending, touched[pending], stop - start, lengths[keep], signs[keep])
             )
             j, cross = pending[found], cross[found]
-            emitted[j] = left[j] - (reach[cross] - clipped[cross] - before[found])
+            served[j] = left[j] - (reach[cross] - clipped[cross] - before[found])
             touched[pending] += stop - start
             left[pending] -= reach[start + b - 1] - before
             pending = pending[~found]
         if len(pieces) == 1:
-            return touched, emitted, pieces[0][3], pieces[0][4]
+            return touched, served, pieces[0][3], pieces[0][4]
         slot = np.cumsum(touched) - touched
         lengths = np.empty(int(touched.sum()), dtype=np.int64)
         signs = np.empty(lengths.size, dtype=np.int8)
@@ -412,23 +415,26 @@ class _Traders:
             dest += np.arange(dest.size)
             lengths[dest] = piece_lengths
             signs[dest] = piece_signs
-        return touched, emitted, lengths, signs
+        return touched, served, lengths, signs
 
     def advance(self, counts: np.ndarray, cap: int, collect: np.ndarray | None):
         """Serve one chunk in which trader i is selected ``counts[i]`` times.
 
-        Returns the chunk's run table in trader order (signs, lengths; their
-        ``np.repeat`` is the chunk's signs grouped by trader), the active
-        traders with the index of each one's last run, and, when ``collect``
-        is given, the completed metaorders of collected traders as (trader,
-        logged length) in trader order.
+        A trader whose current metaorder outlasts its selections stays in it;
+        every other active trader goes through ``fresh_runs`` to the
+        metaorder its next selection falls into.  Returns the chunk's run
+        table in trader order (signs, lengths; their ``np.repeat`` is the
+        chunk's signs grouped by trader, and a trader's last run may have
+        length 0), the active traders with the index of each one's last run,
+        and, when ``collect`` is given, the completed metaorders of collected
+        traders as (trader, logged length) in trader order.
         """
         act = np.flatnonzero(counts)
         c = counts[act]
         rem = self.remaining[act]
         need = c - rem  # steps served after the current metaorder ends
-        fresh = np.flatnonzero(need > 0)
-        touched, emitted, lengths, signs = self.fresh_runs(
+        fresh = np.flatnonzero(need >= 0)
+        touched, served, lengths, signs = self.fresh_runs(
             act[fresh], need[fresh], cap
         )
 
@@ -444,37 +450,27 @@ class _Traders:
         run_sign[head] = self.sign[act]
         run_len[is_fresh] = lengths
         run_sign[is_fresh] = signs
-        last_len = run_len[end[fresh]]
-        run_len[end[fresh]] = emitted
-        complete = emitted == last_len
-
-        inside = need < 0
-        part = fresh[~complete]
-        restart = need == 0
-        restart[fresh[complete]] = True
+        last = end[fresh]  # each fresh trader's new current metaorder
+        new_len = run_len[last]
+        run_len[last] = served
 
         log = None
         if collect is not None:
+            # every run but a trader's last one completed in this chunk
             owner = np.repeat(act, n_runs)
             logged = run_len.copy()
             logged[head] += self.progress[act]
             keep = collect[owner]
-            keep[end[inside]] = False
-            keep[end[part]] = False
+            keep[end] = False
             log = owner[keep], logged[keep]
 
-        t = act[inside]
-        self.remaining[t] -= c[inside]
-        self.progress[t] += c[inside]
-        self.serial[act[fresh]] += touched
-        t = act[part]
-        self.sign[t] = run_sign[end[part]]
-        self.remaining[t] = last_len[~complete] - emitted[~complete]
-        self.progress[t] = emitted[~complete]
-        t = act[restart]
-        self.serial[t] += 1
-        self.remaining[t], self.sign[t] = self.draw(t, self.serial[t], np.ones_like(t))
+        t = act[fresh]
+        self.serial[t] += touched
+        self.sign[t] = run_sign[last]
+        self.remaining[t] = new_len
         self.progress[t] = 0
+        self.remaining[act] -= run_len[end]
+        self.progress[act] += run_len[end]
         return run_sign, run_len, act, end, log
 
 
@@ -590,7 +586,9 @@ def simulate(
             run_sign, run_len, act, end, completed = traders.advance(
                 counts, n, collect if recording else None
             )
-            market_sign = int(run_sign[end[np.searchsorted(act, sel[-1])]])
+            # the last selection's trader may end on a run it has not served yet
+            last = end[np.searchsorted(act, sel[-1])]
+            market_sign = int(run_sign[last - (run_len[last] == 0)])
             if recording:
                 selection_counts[:] += counts
                 if completed is not None:

@@ -12,8 +12,9 @@ Each law writes its two inverse CDFs once, vectorised over uniforms and over
 a parameter array (``lengths_from_uniform``, ``remaining_from_uniform``),
 which the engine's batched draws call.  Laws with equal ``batch_key()``
 share one kernel and differ only in ``param``, so the engine draws a whole
-population kind by kind; ``mean_lengths`` is the batched mean and
-``with_param`` rebuilds one law of the kind from its parameter.
+population kind by kind.  ``mean_lengths`` is the batched mean, and a law's
+own ``mean_length`` is that mean at its own param, so the two agree bit for
+bit; ``with_param`` rebuilds one law of the kind from its parameter.
 
 All laws are immutable after construction.
 """
@@ -76,8 +77,13 @@ class MetaorderLaw:
         raise NotImplementedError
 
     def mean_length(self) -> float:
-        """Expected metaorder length; raises NonconvergentMean if infinite."""
-        raise NotImplementedError
+        """Expected metaorder length, ``mean_lengths`` at this law's own
+        param; raises NonconvergentMean if infinite."""
+        mean = float(self.mean_lengths(np.array([self.param]))[0])
+        if mean == math.inf:
+            raise NonconvergentMean(f"{self.kind} law with param {self.param} "
+                                    "has an infinite mean length")
+        return mean
 
     def ccdf_tail(self, start: int) -> float:
         """Sum of ``ccdf(L)`` over ``L >= start`` (tail mass of the CCDF)."""
@@ -95,11 +101,7 @@ class MetaorderLaw:
     def mean_lengths(self, param) -> np.ndarray:
         """Mean length at each of this kind's parameters ``param`` (float64
         array), inf where the mean diverges."""
-        try:
-            mean = self.mean_length()
-        except NonconvergentMean:
-            mean = math.inf
-        return np.full(np.shape(param), mean)
+        raise NotImplementedError
 
     def lengths_from_uniform(self, u, param=None) -> np.ndarray:
         """Inverse CDF: lengths for uniforms ``u`` in [0, 1) (int64 array).
@@ -133,8 +135,8 @@ class Degenerate(MetaorderLaw):
         arr = _check_lengths(length)
         return np.where(arr <= 1, 1.0, 0.0)[()]
 
-    def mean_length(self) -> float:
-        return 1.0
+    def mean_lengths(self, param) -> np.ndarray:
+        return np.ones(np.shape(param))
 
     def ccdf_tail(self, start: int) -> float:
         return 1.0 if start <= 1 else 0.0
@@ -173,9 +175,6 @@ class Exponential(MetaorderLaw):
     def ccdf(self, length):
         arr = _check_lengths(length)
         return np.exp(-(arr - 1.0) / self.decay_length)
-
-    def mean_length(self) -> float:
-        return 1.0 / self._step_mass
 
     def ccdf_tail(self, start: int) -> float:
         if start < 1:
@@ -227,16 +226,6 @@ class DiscretePareto(MetaorderLaw):
     def ccdf(self, length):
         arr = _check_lengths(length).astype(np.float64)
         return arr**-self.tail_exponent
-
-    @cached_property
-    def _zeta(self) -> float:
-        # zeta(alpha, 1) on a 1-d array, as the engine's batched means and
-        # stationary draws evaluate it, so the three agree bit for bit
-        return float(_hurwitz_zeta(np.array([self.tail_exponent]), 1.0)[0])
-
-    def mean_length(self) -> float:
-        _check_summable(self.tail_exponent)
-        return self._zeta
 
     def ccdf_tail(self, start: int) -> float:
         # Hurwitz zeta(alpha, start) = sum_{k >= start} k**-alpha
@@ -397,8 +386,8 @@ class Tabulated(MetaorderLaw):
         idx = np.searchsorted(self.support, arr, side="left")
         return self._suffix_mass[idx][()]
 
-    def mean_length(self) -> float:
-        return float(np.dot(self.support, self.probs))
+    def mean_lengths(self, param) -> np.ndarray:
+        return np.full(np.shape(param), float(np.dot(self.support, self.probs)))
 
     def ccdf_tail(self, start: int) -> float:
         if start < 1:

@@ -371,7 +371,9 @@ def calibrate_curve(lags, values, mu: float = 0.8, gamma: float | None = None,
         prefactor = fit.prefactor
         n_points = fit.n_points
     else:
-        inside = (lags >= window[0]) & (lags <= window[1]) & (values > 0.0)
+        # fit_powerlaw's usable points: x > 0 and y > 0 inside the window
+        inside = ((lags >= window[0]) & (lags <= window[1]) & (lags > 0.0)
+                  & (values > 0.0))
         if inside.sum() < 5:
             raise InsufficientPoints("fewer than 5 usable points at the pinned slope")
         offsets = np.log(values[inside]) + gamma * np.log(lags[inside])

@@ -99,6 +99,25 @@ def test_runner_keeps_the_names_the_benchmark_swaps():
     assert "population" in inspect.signature(runner.run_simulate).parameters
 
 
+@pytest.mark.parametrize("path", sorted(Path(lmfsim.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_print_and_no_catch_all_except(path):
+    # warnings and progress go through logging (only the CLI prints), and
+    # no handler swallows every error
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if path.name != "cli.py" and isinstance(node, ast.Call):
+            assert not (isinstance(node.func, ast.Name) and node.func.id == "print"), (
+                f"{path.name}:{node.lineno} calls print")
+        if isinstance(node, ast.ExceptHandler):
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            for kind in caught:
+                assert kind is not None, f"{path.name}:{node.lineno} has a bare except"
+                assert ast.unparse(kind) not in ("Exception", "BaseException"), (
+                    f"{path.name}:{node.lineno} catches {ast.unparse(kind)}")
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demos_run(path, monkeypatch, capsys):
     # each demo's main() on a short run: a demo that breaks at run time fails here

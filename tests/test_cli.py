@@ -429,6 +429,16 @@ class TestCalibration:
         with pytest.raises(InsufficientPoints):
             calibrate_curve(lags, values, gamma=gamma, window=(100.0, 104.0))
 
+    def test_pinned_gamma_ignores_a_lag_zero_row(self):
+        # lag 0 is not a usable point of the log-log fit, pinned or not
+        lags = np.arange(0, 10_001, dtype=np.float64)
+        values = 0.05 * np.maximum(lags, 1.0) ** -0.5
+        values[0] = 1.0
+        with_zero = calibrate_curve(lags, values, gamma=0.5, window=(0, 1e4))
+        without = calibrate_curve(lags[1:], values[1:], gamma=0.5, window=(0, 1e4))
+        assert with_zero == without
+        assert with_zero["n_points"] == 10_000
+
     def test_alpha_and_gamma_conflict(self, tmp_path):
         lags = np.arange(1, 2001)
         curve = AcfCurve(lags=lags, values=1.0 * lags**-0.5, kind="simulated")

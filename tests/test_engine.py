@@ -73,8 +73,13 @@ def simulate_in_chunks(monkeypatch, chunk, *args, **kwargs):
     return simulate(*args, **kwargs)
 
 
-def serial_reference(pop, steps, seed, init_mode, burn_in):
-    """Step-by-step market on simulate's streams: one trader, one step at a time."""
+def serial_reference(pop, steps, seed, init_mode, burn_in, trader_signs=False):
+    """Step-by-step market on simulate's streams: one trader, one step at a time.
+
+    Returns the recorded signs, the per-trader logs and each trader's final
+    remaining count and progress, then, with ``trader_signs``, each trader's
+    final metaorder sign.
+    """
     select_rng, init_rng, key = engine._streams(seed)
     state = init_state(pop, init_rng, init_mode)
     keyed = engine._Traders(pop, state, key)
@@ -99,7 +104,8 @@ def serial_reference(pop, steps, seed, init_mode, burn_in):
             length, new_sign = keyed.draw(np.array([i]), np.array([serial[i]]),
                                           np.array([1]))
             rem[i], sign[i], prog[i] = int(length[0]), int(new_sign[0]), 0
-    return np.array(signs, dtype=np.int8), log, rem, prog
+    out = np.array(signs, dtype=np.int8), log, rem, prog
+    return out + (sign,) if trader_signs else out
 
 
 class TestPopulation:
@@ -606,6 +612,26 @@ class TestDeterminism:
         assert out.final_state.remaining.tolist() == rem
         assert out.final_state.progress.tolist() == prog
         assert out.final_state.market_sign == signs[-1]
+
+    @pytest.mark.parametrize("seed", range(40, 46))
+    def test_metaorders_that_end_at_a_chunk_edge(self, seed, monkeypatch):
+        # the unit-length trader ends a metaorder at each of its selections,
+        # so at its last one in every chunk (where a single selection leaves
+        # nothing after the current metaorder); the length-3 trader ends one
+        # there about a third of the time.  Runs of 1 to 3 chunks of 17
+        # steps end on either trader's selection.
+        pop = Population([TraderSpec(0.5, Degenerate()),
+                          TraderSpec(0.5, tab({3: 1.0}))])
+        for steps in (1, 2, 3, 16, 17, 18, 33, 34, 35, 51):
+            out = simulate_in_chunks(monkeypatch, 17, pop, steps, seed=seed)
+            signs, log, rem, prog, sign = serial_reference(
+                pop, steps, seed, "stationary", 0, trader_signs=True)
+            assert out.signs.tobytes() == signs.tobytes()
+            assert per_trader_logs(out) == log
+            assert out.final_state.remaining.tolist() == rem
+            assert out.final_state.progress.tolist() == prog
+            assert out.final_state.signs.tolist() == sign
+            assert out.final_state.market_sign == signs[-1]
 
     def test_lengths_at_the_int64_cap(self, monkeypatch):
         # tail exponent 0.05 draws about one length in eight at the 2**62 cap,

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmfsim import DiscretePareto
+from lmfsim import DiscretePareto, Exponential
 from lmfsim.errors import DomainError, NonconvergentMean
 from lmfsim.laws import _hurwitz_zeta
 from lmfsim.numerics import AliasTable
@@ -110,6 +110,14 @@ class TestKernelsAgainstMpmath:
         means = np.array([DiscretePareto(a).mean_length() for a in alpha.tolist()])
         assert np.array_equal(means, DiscretePareto(2.0).mean_lengths(alpha))
         assert np.array_equal(means, _hurwitz_zeta(alpha, 1.0))
+
+    def test_scalar_exponential_mean_is_the_batched_mean(self):
+        # math.expm1 and numpy's SIMD expm1 loop can differ in the last bit;
+        # a law's own mean is the batched mean at its param
+        decay = np.exp(np.random.default_rng(2001).uniform(math.log(0.1),
+                                                           math.log(1e6), 200_000))
+        means = np.array([Exponential(d).mean_length() for d in decay.tolist()])
+        assert np.array_equal(means, Exponential(1.0).mean_lengths(decay))
 
     def test_log_factorials_across_the_table_switch(self):
         n = np.arange(61)
