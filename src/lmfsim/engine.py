@@ -212,9 +212,9 @@ class Population:
 
 @dataclass
 class MarketState:
-    """Phase-space point: last market sign plus per-trader metaorder state."""
+    """Phase-space point: every trader's metaorder state.  The market sign at
+    a step is the sign of the trader selected there, so it is no state."""
 
-    market_sign: int
     signs: np.ndarray      # int8, current metaorder sign per trader
     remaining: np.ndarray  # int64, executions left in the current metaorder
     progress: np.ndarray   # int64, executions already absorbed by it
@@ -248,7 +248,8 @@ def init_state(
     ``stationary`` samples each remaining count from the size-biased law
     P_st(R) = ccdf(R)/mean (the model's exact stationary marginal);
     ``fresh_draw`` starts every trader on a brand-new metaorder.  Either way
-    one uniform per trader goes through one batched inverse CDF per law kind.
+    one uniform per trader goes through one batched inverse CDF per law kind,
+    then one coin per trader gives its sign.
     """
     if mode not in INIT_MODES:
         raise ConfigError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
@@ -257,13 +258,8 @@ def init_state(
         rng.random(m), np.arange(m), stationary=mode == "stationary"
     )
     signs = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.int8)
-    market_sign = int(rng.integers(0, 2)) * 2 - 1
-    return MarketState(
-        market_sign=market_sign,
-        signs=signs,
-        remaining=remaining,
-        progress=np.zeros(m, dtype=np.int64),
-    )
+    return MarketState(signs=signs, remaining=remaining,
+                       progress=np.zeros(m, dtype=np.int64))
 
 
 def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
@@ -278,6 +274,15 @@ def _normalise_collect(collect_lengths, size: int) -> np.ndarray:
         raise ConfigError(f"collect_lengths must be integer trader indices in [0, {size})")
     mask[idx.astype(np.int64)] = True
     return mask
+
+
+def _ragged(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[j]``, ..., ``start[j] + count[j] - 1`` concatenated
+    over j, as int64; a zero ``count[j]`` contributes nothing."""
+    shift = (start - np.cumsum(count) + count).astype(np.int64, copy=False)
+    out = np.repeat(shift, count)
+    out += np.arange(out.size)
+    return out
 
 
 # splitmix64 constants: the golden-ratio increment and the two output multipliers
@@ -340,12 +345,9 @@ class _Traders:
     def draw(self, trader: np.ndarray, first: np.ndarray, count: np.ndarray):
         """Lengths (int64) and signs (int8) of metaorders ``first[j]``, ...,
         ``first[j] + count[j] - 1`` of ``trader[j]``, concatenated over j."""
-        start = self.base[trader] + first.astype(np.uint64) * _GAMMA
-        # element e of trader j has key start[j] + (e - offset[j]) G
-        offset = (np.cumsum(count) - count).astype(np.uint64)
-        z = np.arange(int(count.sum()), dtype=np.uint64)
+        z = _ragged(first, count).view(np.uint64)
         z *= _GAMMA
-        z += np.repeat(start - offset * _GAMMA, count)
+        z += np.repeat(self.base[trader], count)
         _mix64(z)
         sign = (z & 1).astype(np.int8)
         sign += sign - 1
@@ -392,10 +394,7 @@ class _Traders:
             found = cross < start + b
             # a short trader keeps its whole batch, a found one up to the crossing
             stop = np.where(found, cross + 1, start + b)
-            edge = np.zeros(lengths.size + 1, dtype=np.int8)
-            edge[start] = 1
-            edge[stop] -= 1
-            keep = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+            keep = _ragged(start, stop - start)
             pieces.append(
                 (pending, touched[pending], stop - start, lengths[keep], signs[keep])
             )
@@ -411,8 +410,7 @@ class _Traders:
         signs = np.empty(lengths.size, dtype=np.int8)
         for j, done, kept, piece_lengths, piece_signs in pieces:
             # trader j's runs of this round follow the `done` it kept before
-            dest = np.repeat(slot[j] + done - (np.cumsum(kept) - kept), kept)
-            dest += np.arange(dest.size)
+            dest = _ragged(slot[j] + done, kept)
             lengths[dest] = piece_lengths
             signs[dest] = piece_signs
         return touched, served, lengths, signs
@@ -425,9 +423,8 @@ class _Traders:
         metaorder its next selection falls into.  Returns the chunk's run
         table in trader order (signs, lengths; their ``np.repeat`` is the
         chunk's signs grouped by trader, and a trader's last run may have
-        length 0), the active traders with the index of each one's last run,
-        and, when ``collect`` is given, the completed metaorders of collected
-        traders as (trader, logged length) in trader order.
+        length 0) and, when ``collect`` is given, the completed metaorders
+        of collected traders as (trader, logged length) in trader order.
         """
         act = np.flatnonzero(counts)
         c = counts[act]
@@ -444,12 +441,12 @@ class _Traders:
         end = head + n_runs - 1
         run_len = np.empty(int(end[-1]) + 1, dtype=np.int64)
         run_sign = np.empty(run_len.size, dtype=np.int8)
-        is_fresh = np.ones(run_len.size, dtype=bool)
-        is_fresh[head] = False
         run_len[head] = np.minimum(c, rem)
         run_sign[head] = self.sign[act]
-        run_len[is_fresh] = lengths
-        run_sign[is_fresh] = signs
+        # a fresh trader's touched runs follow its head run
+        fresh_slot = _ragged(head[fresh] + 1, touched)
+        run_len[fresh_slot] = lengths
+        run_sign[fresh_slot] = signs
         last = end[fresh]  # each fresh trader's new current metaorder
         new_len = run_len[last]
         run_len[last] = served
@@ -471,7 +468,7 @@ class _Traders:
         self.progress[t] = 0
         self.remaining[act] -= run_len[end]
         self.progress[act] += run_len[end]
-        return run_sign, run_len, act, end, log
+        return run_sign, run_len, log
 
 
 # the 32-bit word of a little- or big-endian uint64 that holds its high bits
@@ -540,6 +537,10 @@ def simulate(
         the simulator never writes to it again.  The chunks concatenate to
         the stored series, so a caller can consume the signs while the run
         goes on without holding all of them.
+
+    The returned ``final_state`` is every trader's metaorder state after the
+    last step.  It holds no market sign: the market sign at a step is the
+    sign of the trader selected there, so the last one is ``signs[-1]``.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -567,11 +568,9 @@ def simulate(
     selection_counts = np.zeros(m, dtype=np.int64)
     # (trader, length) per chunk, each in trader order
     logged = []
-    market_sign = state0.market_sign
     chunk_steps = _chunk_length(m)
 
     def run_span(total: int, recording: bool):
-        nonlocal market_sign
         done = 0
         while done < total:
             n = min(chunk_steps, total - done)
@@ -583,12 +582,9 @@ def simulate(
             sel = np.where(x < prob[column], column, alias[column])
             del x, column
             counts = np.bincount(sel, minlength=m)
-            run_sign, run_len, act, end, completed = traders.advance(
+            run_sign, run_len, completed = traders.advance(
                 counts, n, collect if recording else None
             )
-            # the last selection's trader may end on a run it has not served yet
-            last = end[np.searchsorted(act, sel[-1])]
-            market_sign = int(run_sign[last - (run_len[last] == 0)])
             if recording:
                 selection_counts[:] += counts
                 if completed is not None:
@@ -606,12 +602,8 @@ def simulate(
         traders.progress[:] = 0
     run_span(steps, recording=True)
 
-    final_state = MarketState(
-        market_sign=market_sign,
-        signs=traders.sign,
-        remaining=traders.remaining,
-        progress=traders.progress,
-    )
+    final_state = MarketState(signs=traders.sign, remaining=traders.remaining,
+                              progress=traders.progress)
     # counting placement: every piece is in trader order, so each one's
     # entries go to their trader's next free slots, piece after piece
     offsets = np.zeros(m + 1, dtype=np.int64)
@@ -624,9 +616,7 @@ def simulate(
     while logged:
         owner, piece = logged.pop()
         count = np.bincount(owner, minlength=m)
-        # slot of entry e: fill[owner[e]] + e - (first entry of owner[e])
-        dest = (fill - (np.cumsum(count) - count))[owner]
-        dest += np.arange(owner.size)
+        dest = _ragged(fill, count)  # trader i's entries go to fill[i], ...
         lengths[dest] = piece
         fill += count
         del owner, piece, dest

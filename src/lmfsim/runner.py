@@ -27,7 +27,7 @@ from . import __version__
 from .chain_oracle import build_oracle
 from .config import ExperimentConfig, load_config, splitter_ids
 from .engine import Population, TraderSpec, simulate
-from .errors import ConfigError, DomainError, EmptyLog, InsufficientPoints, LmfsimError
+from .errors import ConfigError, DomainError, EmptyLog, LmfsimError
 from .laws import Degenerate, Tabulated, intensity_rescale_factor
 from .stats import (  # acf_estimate: bench/worker.py spans it by this module's name
     EmpiricalDistribution,
@@ -358,38 +358,25 @@ def calibrate_curve(lags, values, mu: float = 0.8, gamma: float | None = None,
     """Fit a power law to an observed ACF and bound the splitter count below.
 
     With ``gamma`` given, only the prefactor is estimated (mean log-offset at
-    the pinned slope); otherwise both come from the log-log fit.  Either way,
-    fewer than 5 usable points in the window raise InsufficientPoints.
+    the pinned slope); otherwise both come from the log-log fit
+    (``fit_powerlaw`` either way, so fewer than 5 usable points in the
+    window raise InsufficientPoints).
     """
     lags = np.asarray(lags, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if window is None:
         window = (100.0, float(min(10_000.0, lags.max())))
-    if gamma is None:
-        fit = fit_powerlaw(lags, values, window=window)
-        gamma_hat = fit.exponent
-        prefactor = fit.prefactor
-        n_points = fit.n_points
-    else:
-        # fit_powerlaw's usable points: x > 0 and y > 0 inside the window
-        inside = ((lags >= window[0]) & (lags <= window[1]) & (lags > 0.0)
-                  & (values > 0.0))
-        if inside.sum() < 5:
-            raise InsufficientPoints("fewer than 5 usable points at the pinned slope")
-        offsets = np.log(values[inside]) + gamma * np.log(lags[inside])
-        gamma_hat = float(gamma)
-        prefactor = float(np.exp(np.mean(offsets)))
-        n_points = int(inside.sum())
-    alpha = gamma_hat + 1.0
+    fit = fit_powerlaw(lags, values, window=window, exponent=gamma)
+    alpha = fit.exponent + 1.0
     return {
         "mu": float(mu),
-        "gamma": gamma_hat,
+        "gamma": fit.exponent,
         "alpha": alpha,
-        "prefactor": prefactor,
+        "prefactor": fit.prefactor,
         "window": [float(window[0]), float(window[1])],
-        "n_points": n_points,
+        "n_points": fit.n_points,
         "pinned_gamma": gamma is not None,
-        "min_splitter_count": min_splitter_count(mu, alpha, prefactor),
+        "min_splitter_count": min_splitter_count(mu, alpha, fit.prefactor),
     }
 
 

@@ -231,12 +231,14 @@ class PowerLawFit:
     window: tuple
 
 
-def fit_powerlaw(x, y, window=None) -> PowerLawFit:
+def fit_powerlaw(x, y, window=None, exponent=None) -> PowerLawFit:
     """OLS fit of log y on log x inside a window, excluding non-positive values.
 
     The returned ``exponent`` is the decay rate (positive for falling
-    curves); ``prefactor`` is exp(intercept).  Raises InsufficientPoints
-    with fewer than ``_MIN_POINTS`` (5) usable points.
+    curves); ``prefactor`` is exp(intercept).  With ``exponent`` given the
+    slope is pinned there and only the intercept is fitted (the mean of
+    log y + exponent log x).  Raises InsufficientPoints with fewer than
+    ``_MIN_POINTS`` (5) usable points.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -255,7 +257,12 @@ def fit_powerlaw(x, y, window=None) -> PowerLawFit:
         )
     lx = np.log(x[usable])
     ly = np.log(y[usable])
-    slope, intercept = np.polyfit(lx, ly, 1)
+    if exponent is None:
+        slope, intercept = np.polyfit(lx, ly, 1)
+    elif not math.isfinite(exponent):
+        raise DomainError(f"a pinned exponent must be finite, got {exponent}")
+    else:
+        slope, intercept = -float(exponent), np.mean(ly + exponent * lx)
     resid = ly - (slope * lx + intercept)
     return PowerLawFit(
         exponent=float(-slope),

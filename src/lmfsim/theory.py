@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Population, TraderSpec
+from .engine import Population, TraderSpec, _ragged
 from .errors import DegenerateExponent, DomainError, LmfsimError
 from .laws import Degenerate, DiscretePareto, Exponential, MetaorderLaw
 
@@ -218,7 +218,7 @@ def _binomial_means(table: np.ndarray, lam: float, trials: np.ndarray) -> np.nda
         blk = slice(i, i + step)
         w = width[blk]
         first = np.cumsum(w) - w
-        n = np.repeat(lo[blk] - first, w) + np.arange(first[-1] + w[-1])
+        n = _ragged(lo[blk], w)
         pmf = np.exp(log_head[n] + np.repeat(const[blk], w)
                      - log_fact[np.repeat(trials[blk], w) - n])
         out[blk] = np.add.reduceat(pmf * table[n], first) / np.add.reduceat(pmf, first)

@@ -1,5 +1,6 @@
 """ACF estimators, empirical distributions, power-law fitting."""
 
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,24 @@ class TestFitPowerlaw:
             fit_powerlaw([1, 2, 3], [1, 1, 1])
         with pytest.raises(InsufficientPoints):
             fit_powerlaw(np.geomspace(1, 100, 20), np.ones(20), window=(1e4, 1e5))
+
+    def test_pinned_exponent_fits_only_the_intercept(self):
+        x = np.geomspace(1, 1e4, 60)
+        y = 3.7 * x**-1.25 * np.exp(0.1 * np.sin(x))
+        y[[2, 9]] = 0.0  # excluded as in the free fit
+        fit = fit_powerlaw(x, y, window=(2.0, 5e3), exponent=1.25)
+        usable = (x >= 2.0) & (x <= 5e3) & (y > 0.0)
+        offset = np.mean(np.log(y[usable]) + 1.25 * np.log(x[usable]))
+        assert fit.exponent == 1.25
+        assert fit.prefactor == math.exp(offset)
+        assert fit.n_points == usable.sum() and fit.n_excluded == 1
+        resid = np.log(y[usable]) + 1.25 * np.log(x[usable]) - offset
+        assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(resid**2)), rel=1e-12)
+        with pytest.raises(InsufficientPoints):
+            fit_powerlaw([1, 2, 3, 4, 5], [1, 1, 0, 1, 1], exponent=0.5)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fit_powerlaw(x, y, exponent=bad)
 
 
 class TestLogBinning:
